@@ -7,7 +7,7 @@ covers), discharge (charge ledger and audit), atlas (enumeration,
 sweeps, cache), cli (command-line front end).
 """
 
-from .density import girth, mad, mad_brute, mad_girth_bound
+from .density import girth, mad, mad_girth_bound
 from .discharge import apply_rules, audit, initial_charges
 from .multigraph import (
     FormatError,
@@ -54,7 +54,6 @@ __all__ = [
     "parse_graph6",
     "emit_graph6",
     "mad",
-    "mad_brute",
     "girth",
     "mad_girth_bound",
     "EdgeColoring",

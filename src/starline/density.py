@@ -3,10 +3,12 @@
 Every verdict here is computed in exact rational arithmetic (stdlib
 ``fractions.Fraction``); no floating point enters any comparison.
 
-``mad`` is decided by integer max-flow threshold tests plus a rational
-binary search, and ``mad_brute`` re-derives the same value by scanning
-all vertex subsets.  Keeping both routes lets the tests check one
-implementation against the other on every enumerated graph.
+``mad`` runs Dinkelbach's iteration for the fractional program
+``max e(S) / |S|``: starting from the whole graph, each step asks an
+integer max-flow cut (Goldberg's density network) for a strictly denser
+vertex set and moves to it, and the last set found is the witness.  An
+independent subset scan that cross-checks it lives in the test suite
+(``tests/oracles.py``), not here.
 """
 
 from __future__ import annotations
@@ -15,14 +17,6 @@ import math
 from fractions import Fraction
 
 from .multigraph import Multigraph
-
-Rational = Fraction
-
-# density regime in which five colors are guaranteed (see atlas checks)
-MAD_FIVE_COLOR_BOUND = Fraction(12, 5)
-
-BRUTE_MAX_N = 20
-BRUTE_EXACT_N = 12  # scale at which the subset scan is the reference oracle
 
 
 class _MaxFlow:
@@ -37,30 +31,59 @@ class _MaxFlow:
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
     def _levels(self, s: int, t: int) -> list[int] | None:
+        """Breadth-first distances from ``s`` in the residual network, or
+        None when ``t`` is unreachable.  Vertices no nearer than ``t`` are
+        not expanded: no shortest augmenting path passes through them."""
         level = [-1] * self.size
         level[s] = 0
         queue = [s]
         for v in queue:
+            if level[t] >= 0 and level[v] >= level[t] - 1:
+                break
             for arc in self.adj[v]:
                 if arc[1] > 0 and level[arc[0]] < 0:
                     level[arc[0]] = level[v] + 1
                     queue.append(arc[0])
         return level if level[t] >= 0 else None
 
-    def _push(self, v: int, t: int, limit: int, level: list[int], it: list[int]) -> int:
-        if v == t:
-            return limit
-        while it[v] < len(self.adj[v]):
-            arc = self.adj[v][it[v]]
-            to, cap, rev = arc
-            if cap > 0 and level[to] == level[v] + 1:
-                got = self._push(to, t, min(limit, cap), level, it)
-                if got > 0:
+    def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
+        """Push flow along one ``s``-``t`` path of the level graph and
+        return its amount, or 0 when the phase is blocked.
+
+        Depth-first with an explicit stack, so the path length is not
+        bounded by the interpreter's recursion limit; ``it[v]`` is the
+        next arc of ``v`` to try, and arcs leading to dead ends are never
+        tried again in the same phase.
+        """
+        adj = self.adj
+        path: list[list[int]] = []  # arcs from s to v
+        walk = [s]  # vertices of that path, s first
+        v = s
+        while True:
+            if v == t:
+                got = min(arc[1] for arc in path)
+                for arc in path:
                     arc[1] -= got
-                    self.adj[to][rev][1] += got
-                    return got
-            it[v] += 1
-        return 0
+                    adj[arc[0]][arc[2]][1] += got
+                return got
+            arcs = adj[v]
+            i = it[v]
+            nxt = level[v] + 1
+            while i < len(arcs) and not (arcs[i][1] > 0 and level[arcs[i][0]] == nxt):
+                i += 1
+            it[v] = i
+            if i < len(arcs):
+                path.append(arcs[i])
+                v = arcs[i][0]
+                walk.append(v)
+            elif path:
+                # dead end: retreat and skip the arc that led here
+                path.pop()
+                walk.pop()
+                v = walk[-1]
+                it[v] += 1
+            else:
+                return 0
 
     def max_flow(self, s: int, t: int) -> int:
         total = 0
@@ -70,7 +93,7 @@ class _MaxFlow:
                 return total
             it = [0] * self.size
             while True:
-                got = self._push(s, t, 1 << 62, level, it)
+                got = self._augment(s, t, level, it)
                 if got == 0:
                     break
                 total += got
@@ -89,31 +112,41 @@ class _MaxFlow:
         return seen
 
 
-def _density_network(g: Multigraph, p: int, q: int) -> tuple[_MaxFlow, int, int]:
+def _density_network(g: Multigraph, p: int, q: int) -> tuple[_MaxFlow, int, int, int]:
     """Network whose min cut decides whether some nonempty S has
     ``e(G[S]) * q > p * |S|``.
 
-    For the cut with source side ``{s} | S`` the capacity works out to
-    ``n*m*q - 2*(q*e(S) - p*|S|)``, so a cut below ``n*m*q`` certifies a
-    subset denser than ``p/q`` and the residual source side names it.
+    Vertex ``v`` has supply ``d(v)*q - 2*p``: an arc from the source when
+    it is positive, to the sink when it is negative.  For the cut with
+    source side ``{s} | S`` the capacity works out to
+    ``supply - 2*(q*e(S) - p*|S|)``, where ``supply`` is the total source
+    capacity, so a maximum flow that leaves a source arc unsaturated
+    certifies a subset denser than ``p/q`` and the residual source side
+    names it (Goldberg's network, each vertex's two terminal arcs reduced
+    by their common part).
     """
-    n, m = g.n, g.m
+    n = g.n
     net = _MaxFlow(n + 2)
     s, t = n, n + 1
+    supply = 0
     for v in range(n):
-        net.add_edge(s, v, m * q)
-        net.add_edge(v, t, m * q + 2 * p - g.degree(v) * q)
+        excess = g.degree(v) * q - 2 * p
+        if excess > 0:
+            net.add_edge(s, v, excess)
+            supply += excess
+        elif excess < 0:
+            net.add_edge(v, t, -excess)
     for u, v in g.edges:
         net.add_edge(u, v, q)
         net.add_edge(v, u, q)
-    return net, s, t
+    return net, s, t, supply
 
 
 def _denser_subset(g: Multigraph, density: Fraction) -> set[int] | None:
     """A nonempty vertex set with ``e(G[S]) / |S| > density``, else None."""
     p, q = density.numerator, density.denominator
-    net, s, t = _density_network(g, p, q)
-    if net.max_flow(s, t) >= g.n * g.m * q:
+    net, s, t, supply = _density_network(g, p, q)
+    if net.max_flow(s, t) >= supply:
         return None
     side = net.source_side(s)
     side.discard(s)
@@ -124,68 +157,23 @@ def mad(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
     """Maximum average degree ``max 2 e(G[S]) / |S|`` over nonempty S.
 
     Ranging over induced subgraphs suffices: on a fixed vertex set,
-    dropping edges never raises ``2 e / |S|``.  The value is located by
-    binary search over the finite candidate set ``{2a/b}`` (``0 <= a <= m``,
-    ``1 <= b <= n``), each threshold decided exactly by an integer max-flow
-    cut.  Returns ``(value, witness)`` with one subset attaining the value.
+    dropping edges never raises ``2 e / |S|``.  Dinkelbach iteration:
+    start from ``S = V`` and ``lam = m / n``; while a min cut finds a set
+    denser than ``lam``, move to it and set ``lam = e(S) / |S|``.  Each
+    step raises ``lam`` strictly, within the finite set of ratios
+    ``a / b``, and the loop stops exactly when nothing beats ``lam``, so
+    ``S`` attains the maximum.  Each cut maximises ``e(S) - lam |S|``, so
+    the final ``S`` is the largest densest set.  Returns
+    ``(value, witness)``, the witness sorted.
     """
     if g.n == 0:
         raise ValueError("mad requires at least one vertex")
-    if g.m == 0:
-        return Fraction(0), tuple(range(g.n))
-    candidates = sorted({Fraction(2 * a, b) for a in range(g.m + 1) for b in range(1, g.n + 1)})
-    lo, hi = 0, len(candidates) - 1
-    # invariant: the answer lies in candidates[lo..hi]
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _denser_subset(g, candidates[mid] / 2) is not None:
-            lo = mid + 1
-        else:
-            hi = mid
-    value = candidates[lo]
-    # witness: the cut at the predecessor threshold is denser than every
-    # candidate below the answer, hence attains the answer exactly
-    witness = _denser_subset(g, candidates[lo - 1] / 2)
-    assert witness, "flow witness missing below the located maximum"
-    return value, tuple(sorted(witness))
-
-
-def mad_brute(g: Multigraph, *, max_n: int = BRUTE_MAX_N) -> tuple[Fraction, tuple[int, ...]]:
-    """Subset-scan reference for :func:`mad`; identical contract.
-
-    Authoritative at small scale (exhaustive over all ``2^n - 1`` subsets);
-    guarded at ``max_n`` vertices.
-    """
-    if g.n == 0:
-        raise ValueError("mad requires at least one vertex")
-    if g.n > max_n:
-        raise ValueError(f"subset scan guarded at n <= {max_n}, got n = {g.n}")
-    n = g.n
-    mult = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        mult[u][v] += 1
-        mult[v][u] += 1
-    edge_count = [0] * (1 << n)
-    best: Fraction | None = None
-    best_mask = 0
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        count = edge_count[rest]
-        row = mult[v]
-        r = rest
-        while r:
-            ulow = r & -r
-            count += row[ulow.bit_length() - 1]
-            r ^= ulow
-        edge_count[mask] = count
-        density = Fraction(2 * count, mask.bit_count())
-        if best is None or density > best:
-            best = density
-            best_mask = mask
-    assert best is not None
-    return best, tuple(v for v in range(n) if best_mask >> v & 1)
+    witness = set(range(g.n))
+    lam = Fraction(g.m, g.n)
+    while (denser := _denser_subset(g, lam)) is not None:
+        witness = denser
+        lam = Fraction(sum(u in denser and v in denser for u, v in g.edges), len(denser))
+    return 2 * lam, tuple(sorted(witness))
 
 
 def girth(g: Multigraph) -> int | float:

@@ -274,6 +274,7 @@ def _two_vertex_checks(g: Multigraph) -> list[LemmaCheck]:
 def _pruned_graph_checks(h: Multigraph) -> list[LemmaCheck]:
     profiles, _ = classify(h)
     deg = h.degrees
+    nbrs = [h.neighbors(v) for v in range(h.n)]
 
     def is_bad(v: int) -> bool:
         return profiles[v].two_status == BAD
@@ -282,52 +283,59 @@ def _pruned_graph_checks(h: Multigraph) -> list[LemmaCheck]:
         return deg[v] == 3 and profiles[v].class3k == 1
 
     two_nbr = [
-        (x,) for x in range(h.n) if deg[x] == 2 and len(h.neighbors(x)) != 2
+        (x,) for x in range(h.n) if deg[x] == 2 and len(nbrs[x]) != 2
     ]
     three_nbr = [
         (x,)
         for x in range(h.n)
         if deg[x] == 3
         and (profiles[x].class3k or 0) >= 2
-        and len(h.neighbors(x)) != 3
+        and len(nbrs[x]) != 3
     ]
 
+    # Short cycles are walked from the adjacency lists: a triangle once as
+    # x < y < z, a 4-cycle once as a -> b -> c -> d with a its smallest
+    # vertex and b < d, the orientation in which a scan over sorted
+    # 4-subsets meets it.  Two 4-cycles with three bad (so degree-2)
+    # vertices each share no vertex, so listing them by a keeps that
+    # scan's order too.
+    nbr_sets = [set(vs) for vs in nbrs]
     no_c3 = []
-    for x, y, z in combinations(range(h.n), 3):
-        if (
-            h.multiplicity(x, y)
-            and h.multiplicity(y, z)
-            and h.multiplicity(x, z)
-            and sum(map(is_bad, (x, y, z))) >= 2
-        ):
-            no_c3.append((x, y, z))
+    for x in range(h.n):
+        for y in nbrs[x]:
+            if y <= x:
+                continue
+            for z in nbrs[y]:
+                if z > y and z in nbr_sets[x] and sum(map(is_bad, (x, y, z))) >= 2:
+                    no_c3.append((x, y, z))
 
     no_c4_cycle = []
-    for quad in combinations(range(h.n), 4):
-        a, b, c, d = quad
-        for cyc in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
-            if all(
-                h.multiplicity(cyc[i], cyc[(i + 1) % 4]) for i in range(4)
-            ):
-                bad_count = sum(map(is_bad, cyc))
-                if bad_count >= 3:
-                    goods = [v for v in cyc if not is_bad(v)]
-                    anchor = min(goods) if goods else min(cyc)
-                    i = cyc.index(anchor)
-                    no_c4_cycle.append(tuple(cyc[(i + j) % 4] for j in range(4)))
+    for a in range(h.n):
+        for b in nbrs[a]:
+            if b <= a:
+                continue
+            for c in nbrs[b]:
+                if c <= a:
+                    continue
+                for d in nbrs[c]:
+                    cyc = (a, b, c, d)
+                    if d > b and d in nbr_sets[a] and sum(map(is_bad, cyc)) >= 3:
+                        goods = [v for v in cyc if not is_bad(v)]
+                        i = cyc.index(min(goods) if goods else a)
+                        no_c4_cycle.append(tuple(cyc[(i + j) % 4] for j in range(4)))
 
     no_c4_path = []
     for v in range(h.n):
         if not is_bad(v):
             continue
-        for u in h.neighbors(v):
-            for w in h.neighbors(v):
+        for u in nbrs[v]:
+            for w in nbrs[v]:
                 if u >= w or not (is_bad(u) and is_bad(w)):
                     continue
-                for x in h.neighbors(u):
+                for x in nbrs[u]:
                     if x in (v, w):
                         continue
-                    for y in h.neighbors(w):
+                    for y in nbrs[w]:
                         if y in (v, u, x):
                             continue
                         if not (is_31(x) and is_31(y)):
@@ -336,24 +344,23 @@ def _pruned_graph_checks(h: Multigraph) -> list[LemmaCheck]:
     no_bad = []
     for u in range(h.n):
         if deg[u] == 3 and profiles[u].class3k == 3:
-            for b in h.neighbors(u):
+            for b in nbrs[u]:
                 if is_bad(b):
                     no_bad.append((u, b))
 
     main_nonadj = []
     main_zclass = []
     for u in range(h.n):
-        if deg[u] != 3 or len(h.neighbors(u)) != 3:
+        if deg[u] != 3 or len(nbrs[u]) != 3:
             continue
-        nbrs = h.neighbors(u)
-        for x, y in combinations(nbrs, 2):
+        for x, y in combinations(nbrs[u], 2):
             if not (is_bad(x) and is_bad(y)):
                 continue
-            z = next(v for v in nbrs if v not in (x, y))
+            z = next(v for v in nbrs[u] if v not in (x, y))
             if not (deg[z] == 3 and profiles[z].class3k == 0):
                 main_zclass.append((u, x, y, z))
-            x_others = [v for v in h.neighbors(x) if v != u]
-            y_others = [v for v in h.neighbors(y) if v != u]
+            x_others = [v for v in nbrs[x] if v != u]
+            y_others = [v for v in nbrs[y] if v != u]
             if len(x_others) == 1 and len(y_others) == 1:
                 x1, y1 = x_others[0], y_others[0]
                 if h.multiplicity(z, x1) or h.multiplicity(z, y1):
@@ -434,20 +441,25 @@ def covers_cube(g: Multigraph) -> dict[int, int] | None:
                         return False
         return True
 
-    def place(pos: int) -> bool:
-        if pos == len(order):
-            return True
-        v = order[pos]
-        for target in range(8):
-            if admissible(v, target):
-                image[v] = target
-                if place(pos + 1):
-                    return True
-                image[v] = -1
-        return False
-
+    # depth-first over order[1:], iteratively: tried[pos] is the last
+    # image tried for order[pos]
+    tried = [-1] * len(order)
     image[0] = 0
-    if not place(1):
+    pos = 1
+    while 0 < pos < len(order):
+        v = order[pos]
+        image[v] = -1
+        target = tried[pos] + 1
+        while target < 8 and not admissible(v, target):
+            target += 1
+        if target < 8:
+            image[v] = target
+            tried[pos] = target
+            pos += 1
+        else:
+            tried[pos] = -1
+            pos -= 1
+    if pos == 0:
         return None
     return {v: image[v] for v in range(g.n)}
 

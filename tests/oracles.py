@@ -176,19 +176,101 @@ def brute_connected_classes(n: int, mode: str) -> int:
 
 
 # ----------------------------------------------------------------------
+# short cycles of the lemma audit, by scanning every vertex subset
+# ----------------------------------------------------------------------
+
+def oracle_cycle_checks(g: Multigraph) -> dict[str, tuple[tuple[int, ...], ...]]:
+    """Witnesses of ``L-noC3`` and ``L-noC4(cycle)`` in g's labels, in
+    report order, found by testing every 3- and 4-subset of the graph left
+    after deleting the degree-1 vertices once.
+
+    A vertex of that graph is bad when its degree (with multiplicity) is 2
+    and some neighbor also has degree 2.  A triangle fails with at least two
+    bad vertices, listed sorted; a 4-cycle fails with at least three,
+    listed from its smallest good vertex (its smallest vertex if none is
+    good) in the cycle's direction.  The three 4-cycles through a sorted
+    quadruple ``(a, b, c, d)`` are tried in the order abcd, abdc, acbd.
+    """
+    deg_g = g.degrees
+    keep = [v for v in range(g.n) if deg_g[v] != 1]
+    index = {v: i for i, v in enumerate(keep)}
+    n = len(keep)
+    mult: dict[tuple[int, int], int] = {}
+    deg = [0] * n
+    for u, v in g.edges:
+        if u in index and v in index:
+            a, b = sorted((index[u], index[v]))
+            mult[(a, b)] = mult.get((a, b), 0) + 1
+            deg[a] += 1
+            deg[b] += 1
+
+    def adjacent(u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in mult
+
+    bad = [
+        deg[v] == 2 and any(deg[u] == 2 for u in range(n) if adjacent(u, v))
+        for v in range(n)
+    ]
+    no_c3 = []
+    for tri in itertools.combinations(range(n), 3):
+        x, y, z = tri
+        if adjacent(x, y) and adjacent(y, z) and adjacent(x, z):
+            if sum(bad[v] for v in tri) >= 2:
+                no_c3.append(tri)
+    no_c4 = []
+    for a, b, c, d in itertools.combinations(range(n), 4):
+        for cyc in ((a, b, c, d), (a, b, d, c), (a, c, b, d)):
+            if all(adjacent(cyc[i], cyc[(i + 1) % 4]) for i in range(4)):
+                if sum(bad[v] for v in cyc) >= 3:
+                    goods = [v for v in cyc if not bad[v]]
+                    i = cyc.index(min(goods) if goods else min(cyc))
+                    no_c4.append(tuple(cyc[(i + j) % 4] for j in range(4)))
+    return {
+        name: tuple(tuple(keep[v] for v in w) for w in found)
+        for name, found in (("L-noC3", no_c3), ("L-noC4(cycle)", no_c4))
+    }
+
+
+# ----------------------------------------------------------------------
 # density and girth, the slow way
 # ----------------------------------------------------------------------
 
-def oracle_mad(g: Multigraph) -> Fraction:
-    """Maximum of 2*e(G[S])/|S| over nonempty subsets, one combination at
-    a time."""
-    best = Fraction(0)
-    for size in range(1, g.n + 1):
-        for subset in itertools.combinations(range(g.n), size):
-            inside = set(subset)
-            count = sum(1 for u, v in g.edges if u in inside and v in inside)
-            best = max(best, Fraction(2 * count, size))
-    return best
+BRUTE_MAX_N = 20
+
+
+def mad_brute(g: Multigraph, *, max_n: int = BRUTE_MAX_N) -> tuple[Fraction, tuple[int, ...]]:
+    """Maximum of 2*e(G[S])/|S| over all ``2^n - 1`` nonempty subsets, with
+    the first subset (in bitmask order) attaining it.  Each subset's edge
+    count extends the count of the subset without its lowest vertex, and
+    densities are compared by cross-multiplying.  Guarded at ``max_n``
+    vertices."""
+    if g.n == 0:
+        raise ValueError("mad requires at least one vertex")
+    if g.n > max_n:
+        raise ValueError(f"subset scan guarded at n <= {max_n}, got n = {g.n}")
+    n = g.n
+    mult = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        mult[u][v] += 1
+        mult[v][u] += 1
+    edge_count = [0] * (1 << n)
+    best_count, best_size, best_mask = -1, 1, 0
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        count = edge_count[rest]
+        row = mult[v]
+        r = rest
+        while r:
+            ulow = r & -r
+            count += row[ulow.bit_length() - 1]
+            r ^= ulow
+        edge_count[mask] = count
+        size = mask.bit_count()
+        if count * best_size > best_count * size:
+            best_count, best_size, best_mask = count, size, mask
+    return Fraction(2 * best_count, best_size), tuple(v for v in range(n) if best_mask >> v & 1)
 
 
 def oracle_girth(g: Multigraph) -> int | float:

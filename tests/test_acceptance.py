@@ -25,11 +25,11 @@ from starline import (
     find_critical,
     is_star_coloring,
     mad,
-    mad_brute,
     star_chromatic_index,
     sweep,
     verify_cover,
 )
+from oracles import mad_brute
 from strategies import random_subcubic
 
 FIVE_COLOR_DENSITY = Fraction(12, 5)

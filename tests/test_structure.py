@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import assume, given
 
+import oracles
 import zoo
 from starline import (
     build,
+    enumerate_graphs,
     check_counting_inequality,
     classify,
     covers_cube,
@@ -226,6 +230,43 @@ def test_audit_runs_checks_on_pruned_graph():
     assert noc3.witnesses == ((0, 1, 2),)
 
 
+def assert_cycle_checks_match_oracle(g):
+    report = lemma_audit(g)
+    for name, witnesses in oracles.oracle_cycle_checks(g).items():
+        check = report.check(name)
+        assert check.witnesses == witnesses
+        assert check.passed == (not witnesses)
+
+
+def test_audit_cycles_match_subset_scan_on_enumerated():
+    for mode, top in (("simple", 8), ("multigraph", 7)):
+        for g in enumerate_graphs(top, mode):
+            assert_cycle_checks_match_oracle(g)
+
+
+@given(subcubic_multigraphs(min_n=1, max_n=10))
+def test_audit_cycles_match_subset_scan(g):
+    assert_cycle_checks_match_oracle(g)
+
+
+def test_audit_orders_several_four_cycles_like_subset_scan():
+    # two failing 4-cycles; relabelings put them in every relative order
+    g = build(8, [(0, 1), (0, 2), (1, 3), (0, 4), (3, 5), (1, 6), (5, 6), (2, 7), (4, 7)])
+    assert len(lemma_audit(g).check("L-noC4(cycle)").witnesses) == 2
+    rng = random.Random(2024)
+    for _ in range(40):
+        perm = list(range(8))
+        rng.shuffle(perm)
+        assert_cycle_checks_match_oracle(g.relabel(perm))
+
+
+def test_audit_large_prism():
+    g = zoo.circular_ladder(500)
+    report = lemma_audit(g)
+    assert [c.name for c in report.checks] == ALL_CHECKS
+    assert report.all_pass
+
+
 # ----------------------------------------------------------------------
 # cube covers
 # ----------------------------------------------------------------------
@@ -276,6 +317,14 @@ def test_disconnected_cubic_does_not_cover():
     k4 = list(zoo.complete(4).edges)
     shifted = [(u + 4, v + 4) for u, v in k4]
     assert covers_cube(build(8, k4 + shifted)) is None
+
+
+def test_long_prism_covers_without_deep_recursion():
+    # one search level per vertex: 3000 levels, beyond the recursion limit
+    g = zoo.circular_ladder(1500)
+    mapping = covers_cube(g)
+    assert mapping is not None
+    assert verify_cover(g, mapping)
 
 
 def test_verify_cover_rejects_wrong_map():

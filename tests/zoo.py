@@ -58,6 +58,12 @@ def prism() -> Multigraph:
     return build(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
 
 
+def circular_ladder(k: int) -> Multigraph:
+    """The prism C_k x K2: cycles 0..k-1 and k..2k-1 joined by rungs i ~ k+i."""
+    rims = [(i, (i + 1) % k) for i in range(k)] + [(k + i, k + (i + 1) % k) for i in range(k)]
+    return build(2 * k, rims + [(i, k + i) for i in range(k)])
+
+
 def petersen() -> Multigraph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
