@@ -28,10 +28,8 @@ from . import atlas, discharge
 from .density import girth, mad
 from .multigraph import FormatError, Multigraph, parse_edge_list, parse_graph6
 from .starcolor import (
-    EdgeColoring,
     emit_coloring,
     find_violation,
-    is_star_k_colorable,
     parse_coloring,
     star_chromatic_index,
 )
@@ -75,18 +73,8 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_chi(args) -> int:
     g = load_graph(args.file)
-    chi: int | None
-    cert: EdgeColoring | None
-    if args.max_k is not None:
-        chi, cert = None, None
-        for k in range(max(g.max_degree, 1) if g.m else 0, args.max_k + 1):
-            cert = is_star_k_colorable(g, k)
-            if cert is not None:
-                chi = k
-                break
-    else:
-        chi, cert = star_chromatic_index(g)
-    if chi is None:
+    found = star_chromatic_index(g, max_k=args.max_k)
+    if found is None:
         if args.json:
             _emit_json({"n": g.n, "m": g.m, "chi_s": None, "max_k": args.max_k})
         else:
@@ -94,6 +82,7 @@ def _cmd_chi(args) -> int:
             print(f"no star coloring with at most {args.max_k} colors")
             print(f"RESULT: >{args.max_k}")
         return FAIL
+    chi, cert = found
     if args.cert:
         with open(args.cert, "w", encoding="ascii") as fh:
             fh.write(emit_coloring(cert))

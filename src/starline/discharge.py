@@ -29,7 +29,9 @@ from fractions import Fraction
 from .multigraph import Multigraph
 from .structure import BAD, classify
 
-CHARGE_OFFSET = Fraction(12, 5)
+# the mad bound of the main theorem (below it, 5 colours suffice); each
+# vertex starts with its degree minus this value
+FIVE_COLOR_DENSITY = Fraction(12, 5)
 RULES = ("R1", "R2", "R3", "R4")
 
 
@@ -84,7 +86,7 @@ def initial_charges(h: Multigraph) -> tuple[Fraction, ...]:
     """Charge d(v) - 12/5 per vertex; the sum is 2e - (12/5)n exactly."""
     if h.max_degree > 3:
         raise ValueError(f"maximum degree {h.max_degree} exceeds 3")
-    return tuple(Fraction(d) - CHARGE_OFFSET for d in h.degrees)
+    return tuple(Fraction(d) - FIVE_COLOR_DENSITY for d in h.degrees)
 
 
 def _bad_runs(h: Multigraph, profiles) -> tuple[list[tuple[int, ...]], list[str]]:
@@ -207,7 +209,7 @@ def audit(h: Multigraph, ledger: ChargeLedger) -> AuditReport:
         raise ValueError("ledger does not match graph: finals differ from transfers")
 
     total = sum(ledger.final, Fraction(0))
-    conserved = total == sum(ledger.initial, Fraction(0)) and total == 2 * h.m - CHARGE_OFFSET * h.n
+    conserved = total == sum(ledger.initial, Fraction(0)) and total == 2 * h.m - FIVE_COLOR_DENSITY * h.n
     pooled = {v for pool in ledger.pools for v in pool.members}
     negative_vertices = tuple(
         (v, ledger.final[v])

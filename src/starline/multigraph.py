@@ -20,6 +20,7 @@ Two textual formats are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 MAX_MULTIPLICITY = 3
 CANONICAL_MAX_N = 12
@@ -64,7 +65,21 @@ class Multigraph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of ``v``, ascending."""
-        return tuple(sorted({u for u, _ in self.adjacency[v]}))
+        return self._neighbor_tuples[v]
+
+    @cached_property
+    def _neighbor_tuples(self) -> tuple[tuple[int, ...], ...]:
+        # derived on first use, so build() pays nothing for it; kept out of
+        # the dataclass fields, so equality and hashing ignore it
+        return tuple(
+            tuple(sorted({u for u, _ in entries})) for entries in self.adjacency
+        )
+
+    def __getstate__(self) -> dict:
+        # pickle the fields only: the cache is rebuilt on demand
+        state = dict(self.__dict__)
+        state.pop("_neighbor_tuples", None)
+        return state
 
     def multiplicity(self, u: int, v: int) -> int:
         return sum(1 for w, _ in self.adjacency[u] if w == v)

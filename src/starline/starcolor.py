@@ -401,20 +401,29 @@ def is_star_k_colorable(g: Multigraph, k: int) -> EdgeColoring | None:
     return EdgeColoring(k, assignment)
 
 
-def star_chromatic_index(g: Multigraph) -> tuple[int, EdgeColoring]:
+def star_chromatic_index(
+    g: Multigraph, max_k: int | None = None
+) -> tuple[int, EdgeColoring] | None:
     """Exact star chromatic index with a verifying certificate.
 
     Iterative deepening from ``max(Delta, 1)``; the search is capped at
     seven colors for subcubic inputs (always enough) and at ``m`` colors
-    otherwise (a rainbow coloring is always a star coloring).
+    otherwise (a rainbow coloring is always a star coloring).  With
+    ``max_k`` the search tries no more than ``max_k`` colors and returns
+    None when the index is larger.
     """
+    if max_k is not None and (not isinstance(max_k, int) or max_k < 0):
+        raise ValueError(f"max_k must be a nonnegative integer, got {max_k!r}")
     if g.m == 0:
         return 0, EdgeColoring(0)
     cap = min(SUBCUBIC_COLOR_CAP, g.m) if g.is_subcubic else g.m
-    for k in range(max(g.max_degree, 1), cap + 1):
+    top = cap if max_k is None else min(cap, max_k)
+    for k in range(max(g.max_degree, 1), top + 1):
         cert = is_star_k_colorable(g, k)
         if cert is not None:
             return k, cert
+    if top < cap:
+        return None
     raise RuntimeError(
         f"no star coloring found up to {cap} colors; this contradicts the "
         "guaranteed bound and indicates a solver defect"

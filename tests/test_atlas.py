@@ -1,7 +1,9 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
 
 import oracles
 import zoo
@@ -16,7 +18,8 @@ from starline import (
     summary_text,
     sweep,
 )
-from starline.atlas import CACHE_HEADER, CHECKS
+from starline.atlas import CACHE_HEADER, CHECKS, _cut_vertices, _levels
+from strategies import subcubic_multigraphs
 
 SIMPLE_LEVELS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64}
 MULTI_LEVELS = {1: 1, 2: 3, 3: 4, 4: 12, 5: 22, 6: 68, 7: 166}
@@ -74,6 +77,51 @@ def test_known_graphs_are_enumerated():
     forms = {canonical_form(g) for g in enumerate_graphs(6, "simple")}
     for g in (zoo.complete(4), zoo.complete_bipartite(3, 3), zoo.prism(), zoo.cycle(6)):
         assert canonical_form(g) in forms
+
+
+def _levels_canonizing_every_child(max_n, mode, connected):
+    """Per-level canonical forms without the canonical-deletion filter:
+    every child of every class is canonized and deduplicated."""
+    cap = 1 if mode == "simple" else 3
+    single = build(1, [])
+    level = {canonical_form(single): single}
+    forms = [sorted(level)]
+    for n in range(1, max_n):
+        grown = {}
+        for g in level.values():
+            for r in range(1 if connected else 0, 4):
+                for attach in combinations_with_replacement(range(n), r):
+                    counts = Counter(attach)
+                    if all(c <= min(cap, 3 - g.degree(v)) for v, c in counts.items()):
+                        child = build(n + 1, list(g.edges) + [(v, n) for v in attach])
+                        grown.setdefault(canonical_form(child), child)
+        level = grown
+        forms.append(sorted(level))
+    return forms
+
+
+@pytest.mark.parametrize("mode,max_n", [("simple", 8), ("multigraph", 7)])
+@pytest.mark.parametrize("connected", [True, False])
+def test_levels_match_canonizing_every_child(mode, max_n, connected):
+    forms = [[key for key, _ in level] for level in _levels(max_n, mode, connected)]
+    assert forms == _levels_canonizing_every_child(max_n, mode, connected)
+
+
+@given(subcubic_multigraphs(max_n=10))
+def test_cut_vertices_match_vertex_deletion(g):
+    nbrs = [[u for u, _ in entries] for entries in g.adjacency]
+    parts = len(g.components())
+    expected = {v for v in range(g.n) if len(g.delete_vertex(v).components()) > parts}
+    assert _cut_vertices(nbrs) == expected
+    if g.n > 1 and g.is_connected():
+        assert expected == {v for v in range(g.n) if not g.delete_vertex(v).is_connected()}
+
+
+def test_cut_vertices_with_parallel_edges():
+    # a double edge 0=1 with a pendant 2 at 1, and a triple edge 3=4
+    g = build(5, [(0, 1), (0, 1), (1, 2), (3, 4), (3, 4), (3, 4)])
+    nbrs = [[u for u, _ in entries] for entries in g.adjacency]
+    assert _cut_vertices(nbrs) == {1}
 
 
 def test_enumeration_guards():

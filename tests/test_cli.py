@@ -1,10 +1,12 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import starline
 import zoo
 from starline import emit_edge_list, find_violation, parse_coloring
 from starline.cli import main
@@ -63,6 +65,13 @@ def test_chi_bounded_search_succeeds(run, graph_file):
     code, out, _ = run("chi", graph_file(zoo.path(5)), "--max-k", "3")
     assert code == 0
     assert last_line(out) == "RESULT: 3"
+
+
+def test_chi_rejects_negative_max_k(run, graph_file):
+    code, out, err = run("chi", graph_file(zoo.path(5)), "--max-k", "-1")
+    assert code == 2
+    assert "RESULT" not in out
+    assert "max_k" in err
 
 
 def test_chi_json(run, graph_file):
@@ -352,10 +361,15 @@ def test_runs_are_deterministic(run, graph_file):
 
 
 def test_module_entry_point(graph_file):
+    # the child interpreter must import the same package as this one, also
+    # when only pytest's own path setting put it on sys.path
+    src = os.path.dirname(os.path.dirname(starline.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "starline", "girth", graph_file(zoo.cycle(5))],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[-1] == "RESULT: 5"

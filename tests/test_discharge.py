@@ -5,7 +5,7 @@ from hypothesis import given
 
 import zoo
 from starline import apply_rules, audit, build, classify, initial_charges
-from starline.discharge import CHARGE_OFFSET, Transfer
+from starline.discharge import FIVE_COLOR_DENSITY, Transfer
 from starline.structure import BAD
 from strategies import subcubic_multigraphs
 
@@ -28,7 +28,7 @@ def naive_final_charges(h):
     """Independent restatement of the rules, vertex by vertex."""
     profiles, _ = classify(h)
     deg = h.degrees
-    final = [Fraction(d) - CHARGE_OFFSET for d in deg]
+    final = [Fraction(d) - FIVE_COLOR_DENSITY for d in deg]
     for v in range(h.n):
         if profiles[v].bad32:
             donors = sorted(
@@ -70,7 +70,7 @@ def test_initial_charges_by_degree():
 
 def test_initial_charges_sum_is_invariant():
     g = zoo.cycle(5)
-    assert sum(initial_charges(g)) == 2 * g.m - CHARGE_OFFSET * g.n == -2
+    assert sum(initial_charges(g)) == 2 * g.m - FIVE_COLOR_DENSITY * g.n == -2
 
 
 def test_initial_charges_reject_high_degree():
@@ -248,7 +248,7 @@ def test_audit_rejects_wrong_graph():
 @given(subcubic_multigraphs(max_n=9))
 def test_conservation(g):
     ledger = apply_rules(g)
-    assert sum(ledger.final) == 2 * g.m - CHARGE_OFFSET * g.n
+    assert sum(ledger.final) == 2 * g.m - FIVE_COLOR_DENSITY * g.n
     assert audit(g, ledger).conserved
 
 

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 
 import networkx as nx
@@ -145,6 +146,16 @@ def test_components():
     assert not g.is_connected()
     assert zoo.cycle(4).is_connected()
     assert build(0, []).is_connected()
+
+
+def test_neighbors_cache_changes_no_equality_hash_or_pickle():
+    g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3)])
+    twin = build(4, [(0, 1), (0, 1), (1, 2), (2, 3)])
+    pickled = pickle.dumps(g)
+    assert [g.neighbors(v) for v in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
+    assert pickle.dumps(g) == pickled
+    assert g == twin and hash(g) == hash(twin)
+    assert pickle.loads(pickled).neighbors(1) == (0, 2)
 
 
 # ----------------------------------------------------------------------
