@@ -207,16 +207,18 @@ def enumerate_graphs(
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CacheEntry:
+class SweepRecord:
+    """What a sweep knows about one graph; also one line of the cache."""
+
     canon: bytes
     n: int
     m: int
-    simple: bool
     density: Fraction
     chi: int
+    simple: bool
 
 
-def _cache_line(entry: CacheEntry) -> str:
+def _cache_line(entry: SweepRecord) -> str:
     body = (
         f"{entry.canon.hex()} {entry.n} {entry.m} {int(entry.simple)} "
         f"{entry.density.numerator}/{entry.density.denominator} {entry.chi}"
@@ -224,9 +226,9 @@ def _cache_line(entry: CacheEntry) -> str:
     return f"{body} {zlib.crc32(body.encode()):08x}"
 
 
-def load_cache(path: str) -> tuple[dict[bytes, CacheEntry], list[str]]:
+def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
     """Read a cache file, skipping (and reporting) anything corrupt."""
-    entries: dict[bytes, CacheEntry] = {}
+    entries: dict[bytes, SweepRecord] = {}
     warnings: list[str] = []
     if not os.path.exists(path):
         return entries, warnings
@@ -263,11 +265,11 @@ def load_cache(path: str) -> tuple[dict[bytes, CacheEntry], list[str]]:
         if simple_flag not in (0, 1):
             warnings.append(f"{path}:{lineno}: bad simple flag, skipped")
             continue
-        entries[canon] = CacheEntry(canon, n, m, bool(simple_flag), density, chi)
+        entries[canon] = SweepRecord(canon, n, m, density, chi, bool(simple_flag))
     return entries, warnings
 
 
-def _append_cache(path: str, new_entries: list[CacheEntry]) -> None:
+def _append_cache(path: str, new_entries: list[SweepRecord]) -> None:
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="ascii") as fh:
         if fresh:
@@ -279,17 +281,6 @@ def _append_cache(path: str, new_entries: list[CacheEntry]) -> None:
 # ----------------------------------------------------------------------
 # sweeps
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepRecord:
-    canon: bytes
-    n: int
-    m: int
-    density: Fraction
-    chi: int
-    simple: bool
-    critical5: bool | None = None
-
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -393,58 +384,47 @@ def sweep(
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     pairs = [pair for level in _levels(max_n, mode, True) for pair in level]
-    cached: dict[bytes, CacheEntry] = {}
+    known: dict[bytes, SweepRecord] = {}
     warnings: list[str] = []
     if cache is not None:
-        cached, warnings = load_cache(cache)
+        known, warnings = load_cache(cache)
 
-    graphs: list[Multigraph] = []
-    records: list[SweepRecord | None] = []
-    misses: list[int] = []
+    todo: list[tuple[bytes, Multigraph]] = []
     for canon, g in pairs:
-        graphs.append(g)
-        entry = cached.get(canon)
-        if entry is not None and entry.n == g.n and entry.m == g.m:
-            records.append(
-                SweepRecord(canon, g.n, g.m, entry.density, entry.chi, g.is_simple)
+        hit = known.get(canon)
+        if hit is not None and (hit.n, hit.m, hit.simple) == (g.n, g.m, g.is_simple):
+            continue
+        if hit is not None:
+            warnings.append(
+                f"cache entry for {canon.hex()} disagrees with the graph, resolving"
             )
-        else:
-            if entry is not None:
-                warnings.append(
-                    f"cache entry for {canon.hex()} disagrees with the graph, resolving"
-                )
-            records.append(None)
-            misses.append(len(records) - 1)
+        todo.append((canon, g))
 
-    if misses:
-        todo = [graphs[i] for i in misses]
+    if todo:
+        graphs = [g for _, g in todo]
         if jobs > 1:
             with _WorkerPool(jobs) as pool:
-                solved = list(pool.imap(_solve_graph, todo, chunksize=8))
+                solved = list(pool.imap(_solve_graph, graphs, chunksize=8))
         else:
-            solved = [_solve_graph(g) for g in todo]
-        new_entries = []
-        for i, (density, chi) in zip(misses, solved):
-            g = graphs[i]
-            canon = pairs[i][0]
-            records[i] = SweepRecord(canon, g.n, g.m, density, chi, g.is_simple)
-            new_entries.append(
-                CacheEntry(canon, g.n, g.m, g.is_simple, density, chi)
-            )
+            solved = [_solve_graph(g) for g in graphs]
+        fresh = [
+            SweepRecord(canon, g.n, g.m, density, chi, g.is_simple)
+            for (canon, g), (density, chi) in zip(todo, solved)
+        ]
         if cache is not None:
-            _append_cache(cache, new_entries)
+            _append_cache(cache, fresh)
+        known.update((r.canon, r) for r in fresh)
 
-    full_records = [r for r in records if r is not None]
-    assert len(full_records) == len(pairs)
-    graph_record_pairs = list(zip(graphs, full_records))
+    records = tuple(known[canon] for canon, _ in pairs)
+    graph_record_pairs = [(g, r) for (_, g), r in zip(pairs, records)]
     results = tuple(_evaluate_check(name, graph_record_pairs) for name in checks)
     return SweepSummary(
         mode,
         max_n,
-        tuple(full_records),
+        records,
         results,
-        cache_hits=len(pairs) - len(misses),
-        cache_misses=len(misses),
+        cache_hits=len(pairs) - len(todo),
+        cache_misses=len(todo),
         warnings=tuple(warnings),
     )
 

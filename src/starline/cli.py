@@ -470,13 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else USAGE
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

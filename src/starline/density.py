@@ -183,7 +183,6 @@ def girth(g: Multigraph) -> int | float:
         if g.multiplicity(u, v) >= 2:
             return 2
     n = g.n
-    nbrs = [sorted({u for u, _ in g.adjacency[v]}) for v in range(n)]
     best: int | float = math.inf
     for s in range(n):
         dist = [-1] * n
@@ -193,7 +192,7 @@ def girth(g: Multigraph) -> int | float:
         for u in queue:
             if 2 * dist[u] >= best - 1:
                 break
-            for w in nbrs[u]:
+            for w in g.neighbors(u):
                 if dist[w] < 0:
                     dist[w] = dist[u] + 1
                     parent[w] = u

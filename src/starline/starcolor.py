@@ -10,9 +10,8 @@ Under a proper coloring the union of two color classes has maximum degree
 two, so its components are paths and cycles; the coloring is a star
 coloring exactly when every such component has at most three edges.  The
 solver prunes with that fact, walking the alternating component through
-the edge it just colored.  The public verifier judges candidate
-structures directly from the definition, which keeps the two routes
-independent of each other.
+the edge it just colored; the public verifier walks every such component
+of a finished (or partial) coloring.
 """
 
 from __future__ import annotations
@@ -110,14 +109,8 @@ class Violation:
     edge_ids: tuple[int, ...]
 
 
-def _check_ids(g: Multigraph, coloring: EdgeColoring) -> None:
-    for eid in coloring.assignment:
-        if eid >= g.m:
-            raise ValueError(f"edge id {eid} out of range for {g.m} edges")
-
-
-def _improper_at(g: Multigraph, coloring: EdgeColoring, vertices) -> Violation | None:
-    for v in vertices:
+def _improper_pair(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
+    for v in range(g.n):
         seen: dict[int, int] = {}
         for _, eid in g.adjacency[v]:
             c = coloring.color(eid)
@@ -182,85 +175,32 @@ def _pair_components(g: Multigraph, coloring: EdgeColoring, x: int, y: int) -> V
     return None
 
 
-def _paths_through(g: Multigraph, e: int):
-    """Vertex-simple four-edge paths containing ``e``, as ordered edge ids."""
-    a, b = g.endpoints(e)
+def find_violation(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
+    """First violation, or None.
 
-    def walks(start, banned_vertices, banned_edges, steps):
-        if steps == 0:
-            yield (), ()
-            return
-        for u, eid in g.adjacency[start]:
-            if eid in banned_edges or u in banned_vertices:
-                continue
-            for tail_e, tail_v in walks(u, banned_vertices + (u,), banned_edges + (eid,), steps - 1):
-                yield (eid,) + tail_e, (u,) + tail_v
-
-    for i in range(4):
-        for left_e, left_v in walks(a, (a, b), (e,), i):
-            for right_e, right_v in walks(b, (a, b) + left_v, (e,) + left_e, 3 - i):
-                yield tuple(reversed(left_e)) + (e,) + right_e
-
-
-def _cycles_through(g: Multigraph, e: int):
-    a, b = g.endpoints(e)
-    for x, e1 in g.adjacency[b]:
-        if e1 == e or x == a:
-            continue
-        for y, e2 in g.adjacency[x]:
-            if e2 in (e, e1) or y in (a, b):
-                continue
-            for z, e3 in g.adjacency[y]:
-                if z == a and e3 not in (e, e1, e2):
-                    yield (e, e1, e2, e3)
-
-
-def find_violation(
-    g: Multigraph, coloring: EdgeColoring, scope: int | None = None
-) -> Violation | None:
-    """First violation within scope, or None.
-
-    ``scope=None`` scans the whole graph; ``scope=e`` judges only improper
-    pairs involving ``e`` and bicolored structures containing ``e``.  Only
-    fully colored candidate structures are judged, so partial colorings
-    are fine.
+    Improper pairs are found first; then the components of every union of
+    two color classes are walked, and any with four or more edges yields
+    a bicolored path or cycle.  Only fully colored candidate structures
+    are judged, so partial colorings are fine.
     """
-    _check_ids(g, coloring)
-    if scope is None:
-        bad = _improper_at(g, coloring, range(g.n))
-        if bad is not None:
-            return bad
-        present = sorted(set(coloring.assignment.values()))
-        for i, x in enumerate(present):
-            for y in present[i + 1:]:
-                bad = _pair_components(g, coloring, x, y)
-                if bad is not None:
-                    return bad
-        return None
-    if not 0 <= scope < g.m:
-        raise ValueError(f"edge id {scope} out of range for {g.m} edges")
-    ce = coloring.color(scope)
-    if ce is None:
-        return None
-    for v in g.endpoints(scope):
-        for _, eid in g.adjacency[v]:
-            if eid != scope and coloring.color(eid) == ce:
-                return Violation("improper", tuple(sorted((scope, eid))))
-    for seq in _paths_through(g, scope):
-        colors = [coloring.color(eid) for eid in seq]
-        if None not in colors and len(set(colors)) == 2:
-            return Violation("bicolored-path", seq)
-    for seq in _cycles_through(g, scope):
-        colors = [coloring.color(eid) for eid in seq]
-        if None not in colors and len(set(colors)) == 2:
-            return Violation("bicolored-cycle", seq)
+    for eid in coloring.assignment:
+        if eid >= g.m:
+            raise ValueError(f"edge id {eid} out of range for {g.m} edges")
+    bad = _improper_pair(g, coloring)
+    if bad is not None:
+        return bad
+    present = sorted(set(coloring.assignment.values()))
+    for i, x in enumerate(present):
+        for y in present[i + 1:]:
+            bad = _pair_components(g, coloring, x, y)
+            if bad is not None:
+                return bad
     return None
 
 
 def is_star_coloring(g: Multigraph, coloring: EdgeColoring) -> bool:
     """True iff the total coloring is proper with no bicolored four-edge
     path or cycle.  Partial colorings are rejected."""
-    _check_ids(g, coloring)
     if not coloring.is_total(g.m):
         raise ValueError("coloring is partial; every edge needs a color")
     return find_violation(g, coloring) is None
@@ -394,7 +334,9 @@ def is_star_k_colorable(g: Multigraph, k: int) -> EdgeColoring | None:
             continue
         if k == 0:
             return None
-        part = _solve_component(g, order, k)
+        # symmetry breaking never opens more colors than there are edges,
+        # so a larger palette changes neither the search nor the answer
+        part = _solve_component(g, order, min(k, len(order)))
         if part is None:
             return None
         assignment.update(part)

@@ -1,3 +1,4 @@
+import zlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -234,6 +235,27 @@ def test_cache_detects_corruption(tmp_path):
     assert summary_text(healed) == summary_text(cold)
     reloaded, _ = load_cache(path)
     assert len(reloaded) == 20
+
+
+def test_cache_hit_must_match_simple_flag(tmp_path):
+    path = str(tmp_path / "results.cache")
+    cold = sweep(5, "simple", cache=path)
+    lines = (tmp_path / "results.cache").read_text().splitlines()
+    fields = lines[5].split()
+    fields[3] = str(1 - int(fields[3]))
+    body = " ".join(fields[:6])
+    lines[5] = f"{body} {zlib.crc32(body.encode()):08x}"
+    (tmp_path / "results.cache").write_text("\n".join(lines) + "\n")
+
+    warm = sweep(5, "simple", cache=path)
+    assert warm.warnings == (
+        f"cache entry for {fields[0]} disagrees with the graph, resolving",
+    )
+    assert (warm.cache_hits, warm.cache_misses) == (19, 1)
+    assert summary_text(warm) == summary_text(cold)
+    assert warm.records == cold.records
+    healed = sweep(5, "simple", cache=path)
+    assert (healed.cache_hits, healed.cache_misses, healed.warnings) == (20, 0, ())
 
 
 def test_cache_rejects_missing_header(tmp_path):

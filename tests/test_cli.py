@@ -1,15 +1,18 @@
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import starline
 import zoo
-from starline import emit_edge_list, find_violation, parse_coloring
-from starline.cli import main
+from starline import atlas, canonical_form, emit_edge_list, find_violation, parse_coloring
+from starline.cli import _build_parser, main
 
 
 @pytest.fixture
@@ -315,6 +318,68 @@ def test_critical_json(run):
     assert finding["lemmas_pass"] is True
     assert finding["charge_nonnegative"] is True
     assert len(finding["deletion_chi"]) == 5
+
+
+@pytest.fixture
+def misreport(monkeypatch):
+    """Make the sweep solver report ``chi`` for the class of ``g`` only."""
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+    solve = atlas._solve_graph
+
+    def install(g, chi):
+        target = canonical_form(g)
+
+        def solve_one(h):
+            density, real_chi = solve(h)
+            return density, chi if canonical_form(h) == target else real_chi
+
+        monkeypatch.setattr(atlas, "_solve_graph", solve_one)
+
+    return install
+
+
+def test_sweep_counterexample_fails(run, misreport):
+    misreport(zoo.cycle(5), 6)  # mad 2 is below 12/5
+    code, out, _ = run("sweep", "--max-n", "5", "--jobs", "1")
+    assert code == 1
+    assert "check main5: 14 checked, 1 counterexamples" in out
+    assert f"counterexample {canonical_form(zoo.cycle(5)).hex()}: mad=2 below 12/5 but chi_s=6" in out
+    assert last_line(out) == "RESULT: FAIL (1 counterexamples)"
+
+
+def test_sweep_conj6_counterexample_is_only_reported(run, misreport):
+    misreport(zoo.diamond(), 7)  # mad 5/2 is not below 12/5
+    code, out, _ = run("sweep", "--max-n", "5", "--jobs", "1")
+    assert code == 0
+    assert "check conj6: 20 checked, 1 counterexamples" in out
+    assert "check main5: 14 checked, 0 counterexamples" in out
+    assert last_line(out) == "RESULT: PASS (20 graphs, conj6: 1 reported)"
+
+
+def test_critical_failed_lemma_audit_fails(run, monkeypatch):
+    failing = atlas.lemma_audit(zoo.path(5))
+    assert not failing.all_pass
+    monkeypatch.setattr(atlas, "lemma_audit", lambda g: failing)
+    code, out, _ = run("critical", "--max-n", "5", "--mode", "multi")
+    assert code == 1
+    assert "lemma audit: FAIL" in out
+    assert last_line(out) == "RESULT: 1 critical graphs"
+
+
+def test_critical_accepts_a_huge_palette(run):
+    code, out, _ = run("critical", "--max-n", "5", "--k", "1000000000000")
+    assert code == 0
+    assert last_line(out) == "RESULT: 0 critical graphs"
+
+
+def test_readme_documents_every_subcommand():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Subcommands\n", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^### ([\w-]+):", section, flags=re.MULTILINE)
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert documented == list(sub.choices)
 
 
 # ----------------------------------------------------------------------
