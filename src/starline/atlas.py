@@ -83,46 +83,21 @@ def _attachments(g: Multigraph, mode: str) -> Iterator[tuple[int, ...]]:
                     yield combo
 
 
-def _cut_vertices(nbrs: list[list[int]]) -> set[int]:
-    """Cut vertices of the graph with integer neighbour lists ``nbrs``
-    (a vertex joined by parallel edges is listed once per edge), by an
-    iterative low-link depth-first search.  Edges back to the DFS parent
-    are skipped; a parallel pair to the parent could not lower the
-    parent's test value anyway, so parallel edges need no other care."""
-    n = len(nbrs)
-    disc = [-1] * n
-    low = [0] * n
-    cuts: set[int] = set()
-    clock = 0
-    for root in range(n):
-        if disc[root] >= 0:
-            continue
-        disc[root] = low[root] = clock
-        clock += 1
-        root_children = 0
-        stack = [(root, -1, iter(nbrs[root]))]
-        while stack:
-            v, parent, rest = stack[-1]
-            for u in rest:
-                if u == parent:
-                    continue
-                if disc[u] < 0:
-                    disc[u] = low[u] = clock
-                    clock += 1
-                    stack.append((u, v, iter(nbrs[u])))
-                    break
-                low[v] = min(low[v], disc[u])
-            else:
-                stack.pop()
-                if parent == root:
-                    root_children += 1
-                elif parent >= 0:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] >= disc[parent]:
-                        cuts.add(parent)
-        if root_children > 1:
-            cuts.add(root)
-    return cuts
+def _splits(nbrs: list[list[int]], w: int) -> bool:
+    """True when deleting ``w`` disconnects the connected graph (at least
+    two vertices) with integer neighbour lists ``nbrs``: a breadth-first
+    search from another vertex, with ``w`` counted as seen, misses some
+    vertex."""
+    start = 1 if w == 0 else 0
+    seen = [False] * len(nbrs)
+    seen[w] = seen[start] = True
+    queue = [start]
+    for v in queue:
+        for u in nbrs[v]:
+            if not seen[u]:
+                seen[u] = True
+                queue.append(u)
+    return len(queue) < len(nbrs) - 1
 
 
 def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
@@ -130,7 +105,9 @@ def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
 
     False when some vertex w with ``f(w) > f(x)``, where ``f(v) = (degree,
     sorted degrees of v's neighbours)``, could be deleted in place of x:
-    any w when disconnected graphs are allowed, a non-cut w otherwise."""
+    any w when disconnected graphs are allowed; otherwise a w that does
+    not split the connected child, asked of one w at a time (``_splits``)
+    until the first such w."""
     deg = [len(entries) for entries in nbrs]
     x = len(nbrs) - 1
     dx = deg[x]
@@ -145,8 +122,7 @@ def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
         return True
     if not connected:
         return False
-    cuts = _cut_vertices(nbrs)
-    return all(w in cuts for w in larger)
+    return all(_splits(nbrs, w) for w in larger)
 
 
 def _levels(

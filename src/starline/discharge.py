@@ -33,6 +33,7 @@ from .structure import BAD, classify
 # vertex starts with its degree minus this value
 FIVE_COLOR_DENSITY = Fraction(12, 5)
 RULES = ("R1", "R2", "R3", "R4")
+AMOUNTS = frozenset(Fraction(i, 5) for i in (1, 2, 3))  # every legal transfer
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,7 @@ def audit(h: Multigraph, ledger: ChargeLedger) -> AuditReport:
     for t in ledger.transfers:
         if t.rule not in RULES:
             raise ValueError(f"unknown rule {t.rule!r}")
-        if t.amount not in (Fraction(1, 5), Fraction(2, 5), Fraction(3, 5)):
+        if t.amount not in AMOUNTS:
             raise ValueError(f"illegal transfer amount {t.amount}")
         if h.multiplicity(t.giver, t.taker) == 0:
             raise ValueError(

@@ -100,20 +100,7 @@ class Multigraph:
         return self.max_degree <= 3
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for u, _ in self.adjacency[v]:
-                if not seen[u]:
-                    seen[u] = True
-                    count += 1
-                    stack.append(u)
-        return count == self.n
+        return len(self.components()) <= 1
 
     def components(self) -> tuple[tuple[int, ...], ...]:
         """Vertex sets of connected components, each ascending, ordered by
@@ -150,37 +137,27 @@ class Multigraph:
             for a, b in self.edges
             if a != v and b != v
         ]
-        return build(self.n - 1, kept, unchecked_multiplicity=True)
+        return build(self.n - 1, kept)
 
     def delete_edge(self, edge_id: int) -> "Multigraph":
         if not 0 <= edge_id < self.m:
             raise ValueError(f"edge id {edge_id} out of range")
         kept = [pair for i, pair in enumerate(self.edges) if i != edge_id]
-        return build(self.n, kept, unchecked_multiplicity=True)
+        return build(self.n, kept)
 
     def relabel(self, perm: tuple[int, ...] | list[int]) -> "Multigraph":
         """Apply the vertex bijection ``v -> perm[v]``; edge ids keep their
         order, so colorings transfer verbatim."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm is not a permutation of the vertices")
-        return build(
-            self.n,
-            [(perm[a], perm[b]) for a, b in self.edges],
-            unchecked_multiplicity=True,
-        )
+        return build(self.n, [(perm[a], perm[b]) for a, b in self.edges])
 
 
-def build(
-    n: int,
-    edge_list,
-    *,
-    unchecked_multiplicity: bool = False,
-) -> Multigraph:
+def build(n: int, edge_list) -> Multigraph:
     """Assemble a :class:`Multigraph` from endpoint pairs.
 
     Endpoint pairs are normalized to ``(min, max)``.  Pairwise multiplicity
-    above ``MAX_MULTIPLICITY`` is rejected unless ``unchecked_multiplicity``
-    is set; loops are always rejected.
+    above ``MAX_MULTIPLICITY`` and loops are rejected.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
@@ -196,11 +173,8 @@ def build(
             raise ValueError(f"loop at vertex {u} is not allowed")
         key = (u, v) if u < v else (v, u)
         counts[key] = counts.get(key, 0) + 1
-        if not unchecked_multiplicity and counts[key] > MAX_MULTIPLICITY:
-            raise ValueError(
-                f"multiplicity of {key} exceeds {MAX_MULTIPLICITY}; "
-                "pass unchecked_multiplicity=True to allow"
-            )
+        if counts[key] > MAX_MULTIPLICITY:
+            raise ValueError(f"multiplicity of {key} exceeds {MAX_MULTIPLICITY}")
         norm.append(key)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(norm):

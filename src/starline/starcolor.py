@@ -109,92 +109,77 @@ class Violation:
     edge_ids: tuple[int, ...]
 
 
-def _improper_pair(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
-    for v in range(g.n):
-        seen: dict[int, int] = {}
-        for _, eid in g.adjacency[v]:
-            c = coloring.color(eid)
-            if c is None:
-                continue
-            if c in seen and seen[c] != eid:
-                return Violation("improper", (seen[c], eid))
-            seen[c] = eid
-    return None
-
-
-def _pair_components(g: Multigraph, coloring: EdgeColoring, x: int, y: int) -> Violation | None:
-    """Scan components of the {x, y}-colored subgraph; assumes the coloring
-    is proper, so every component is a path or a cycle."""
-    incident: dict[int, list[tuple[int, int]]] = {}
-    for eid, (u, v) in enumerate(g.edges):
-        if coloring.color(eid) in (x, y):
-            incident.setdefault(u, []).append((v, eid))
-            incident.setdefault(v, []).append((u, eid))
-    seen_edges: set[int] = set()
-    for start in sorted(incident):
-        fresh = [eid for _, eid in incident[start] if eid not in seen_edges]
-        if not fresh:
-            continue
-        # collect the component containing `start`
-        comp_vertices = {start}
-        stack = [start]
-        comp_edges = set()
-        while stack:
-            v = stack.pop()
-            for u, eid in incident[v]:
-                comp_edges.add(eid)
-                if u not in comp_vertices:
-                    comp_vertices.add(u)
-                    stack.append(u)
-        seen_edges |= comp_edges
-        if len(comp_edges) < 4:
-            continue
-        is_cycle = all(len(incident[v]) == 2 for v in comp_vertices)
-        if is_cycle:
-            origin = min(comp_vertices)
-        else:
-            origin = min(v for v in comp_vertices if len(incident[v]) == 1)
-        # walk the path or cycle from the origin, listing edges in order
-        walk: list[int] = []
-        v, prev = origin, -1
-        while True:
-            step = next(
-                ((u, eid) for u, eid in incident[v] if eid != prev and eid not in walk),
-                None,
-            )
-            if step is None:
-                break
-            u, eid = step
-            walk.append(eid)
-            v, prev = u, eid
-            if is_cycle and v == origin:
-                break
-        if is_cycle and len(comp_edges) == 4:
-            return Violation("bicolored-cycle", tuple(walk))
-        return Violation("bicolored-path", tuple(walk[:4]))
-    return None
+def _alternating_walk(
+    g: Multigraph, at: list[dict[int, int]], v: int, c: int, x: int, y: int
+) -> tuple[list[int], list[int]]:
+    """Vertices and edges met leaving ``v`` along color ``c`` and then
+    alternating colors ``x`` and ``y``, until the walk ends or is back at
+    ``v``.  ``at[u][color]`` is the edge of that color at ``u``."""
+    vertices, edges = [v], []
+    eid = at[v].get(c)
+    while eid is not None:
+        edges.append(eid)
+        v = g.other_end(eid, v)
+        if v == vertices[0]:
+            break
+        vertices.append(v)
+        c = x + y - c
+        eid = at[v].get(c)
+    return vertices, edges
 
 
 def find_violation(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
     """First violation, or None.
 
-    Improper pairs are found first; then the components of every union of
-    two color classes are walked, and any with four or more edges yields
-    a bicolored path or cycle.  Only fully colored candidate structures
-    are judged, so partial colorings are fine.
+    One pass over the vertices, each in adjacency order, fills a table of
+    the edge of each color at each vertex; a second edge of a color at a
+    vertex is an improper pair, reported earlier edge first.  Then, for
+    each pair of colors x < y that meet at some vertex, in ascending
+    order, the components of their union are walked through the table,
+    each from its least vertex, in ascending order of that vertex.  The
+    first with four or more edges is the witness: a 4-cycle is a
+    ``bicolored-cycle`` listed from its least vertex along the smaller
+    edge id there; a path is a ``bicolored-path`` of its first four edges
+    from its smaller end; a longer cycle is a ``bicolored-path`` of the
+    first four edges of its listing.  Uncolored edges are ignored, so
+    partial colorings are judged on their colored structures only.
     """
     for eid in coloring.assignment:
         if eid >= g.m:
             raise ValueError(f"edge id {eid} out of range for {g.m} edges")
-    bad = _improper_pair(g, coloring)
-    if bad is not None:
-        return bad
-    present = sorted(set(coloring.assignment.values()))
-    for i, x in enumerate(present):
-        for y in present[i + 1:]:
-            bad = _pair_components(g, coloring, x, y)
-            if bad is not None:
-                return bad
+    at: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for v in range(g.n):
+        for _, eid in g.adjacency[v]:
+            c = coloring.color(eid)
+            if c is None:
+                continue
+            first = at[v].setdefault(c, eid)
+            if first != eid:
+                return Violation("improper", (first, eid))
+    # only colors that meet at some vertex can form a component of two edges
+    pairs = sorted({(x, y) for here in at for x in here for y in here if x < y})
+    for x, y in pairs:
+        met = [False] * g.n
+        for v in range(g.n):
+            if met[v] or (x not in at[v] and y not in at[v]):
+                continue
+            # v is the least vertex of its component: leave it along the
+            # smaller edge id
+            lead = x if at[v].get(x, g.m) < at[v].get(y, g.m) else y
+            ahead, edges = _alternating_walk(g, at, v, lead, x, y)
+            if len(ahead) == len(edges) == 4:
+                return Violation("bicolored-cycle", tuple(edges))
+            if len(ahead) > len(edges):  # a path: list it from its smaller end
+                behind, back = _alternating_walk(g, at, v, x + y - lead, x, y)
+                if behind[-1] < ahead[-1]:
+                    edges = back[::-1] + edges
+                else:
+                    edges = edges[::-1] + back
+                ahead += behind
+            if len(edges) >= 4:
+                return Violation("bicolored-path", tuple(edges[:4]))
+            for u in ahead:
+                met[u] = True
     return None
 
 

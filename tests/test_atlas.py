@@ -19,7 +19,7 @@ from starline import (
     summary_text,
     sweep,
 )
-from starline.atlas import CACHE_HEADER, CHECKS, _cut_vertices, _levels
+from starline.atlas import CACHE_HEADER, CHECKS, _levels, _splits
 from strategies import subcubic_multigraphs
 
 SIMPLE_LEVELS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 10, 6: 29, 7: 64}
@@ -109,20 +109,25 @@ def test_levels_match_canonizing_every_child(mode, max_n, connected):
 
 
 @given(subcubic_multigraphs(max_n=10))
-def test_cut_vertices_match_vertex_deletion(g):
-    nbrs = [[u for u, _ in entries] for entries in g.adjacency]
-    parts = len(g.components())
-    expected = {v for v in range(g.n) if len(g.delete_vertex(v).components()) > parts}
-    assert _cut_vertices(nbrs) == expected
-    if g.n > 1 and g.is_connected():
-        assert expected == {v for v in range(g.n) if not g.delete_vertex(v).is_connected()}
+def test_splits_matches_vertex_deletion(g):
+    # _splits takes a connected graph: check it on every component
+    for comp in g.components():
+        if len(comp) < 2:
+            continue
+        index = {v: i for i, v in enumerate(comp)}
+        part = build(len(comp), [(index[a], index[b]) for a, b in g.edges if a in index])
+        nbrs = [[u for u, _ in entries] for entries in part.adjacency]
+        for w in range(part.n):
+            assert _splits(nbrs, w) == (not part.delete_vertex(w).is_connected())
 
 
-def test_cut_vertices_with_parallel_edges():
-    # a double edge 0=1 with a pendant 2 at 1, and a triple edge 3=4
-    g = build(5, [(0, 1), (0, 1), (1, 2), (3, 4), (3, 4), (3, 4)])
+def test_splits_with_parallel_edges():
+    # a triple edge 0=1, a double edge 1=2 and a pendant 3 at 2
+    g = build(4, [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (2, 3)])
     nbrs = [[u for u, _ in entries] for entries in g.adjacency]
-    assert _cut_vertices(nbrs) == {1}
+    assert [_splits(nbrs, w) for w in range(g.n)] == [False, True, True, False]
+    for w in range(g.n):
+        assert _splits(nbrs, w) == (not g.delete_vertex(w).is_connected())
 
 
 def test_enumeration_guards():

@@ -127,6 +127,43 @@ def test_improper_found():
     assert vio.kind == "improper"
 
 
+@pytest.mark.parametrize(
+    "g,colors,kind,edge_ids",
+    [
+        # path 2-0-4-1-3: listed from its smaller end 2, not from vertex 0
+        (build(5, [(0, 4), (1, 3), (0, 2), (1, 4)]), {0: 2, 1: 2, 2: 1, 3: 1},
+         "bicolored-path", (2, 0, 3, 1)),
+        # the same path with the smaller edge id at 0 pointing to the end 2
+        (build(5, [(0, 2), (1, 3), (0, 4), (1, 4)]), {0: 1, 1: 2, 2: 2, 3: 1},
+         "bicolored-path", (0, 2, 3, 1)),
+        # 4-cycle 0-3-2-1: from vertex 0 along its smaller edge id 1, not edge 0
+        (build(4, [(1, 2), (0, 3), (2, 3), (0, 1)]), {0: 1, 1: 1, 2: 2, 3: 2},
+         "bicolored-cycle", (1, 2, 0, 3)),
+        # a bicolored 6-cycle is reported as the path of its first four edges
+        (zoo.cycle(6).relabel([3, 5, 0, 2, 4, 1]), dict(enumerate([1, 2, 1, 2, 1, 2])),
+         "bicolored-path", (1, 0, 5, 4)),
+        # uncolored edge 2 leaves 0-1-2 too short; the path from 3 is the witness
+        (zoo.path(8), {0: 1, 1: 2, 3: 1, 4: 2, 5: 1, 6: 2}, "bicolored-path", (3, 4, 5, 6)),
+        # the first clash in vertex order, then adjacency order (vertex 1)
+        (build(4, [(2, 3), (1, 3), (0, 1), (1, 2)]), {0: 1, 1: 2, 2: 1, 3: 1},
+         "improper", (2, 3)),
+        # the path runs through the second copy of the double edge 1=2
+        (build(5, [(0, 1), (1, 2), (1, 2), (2, 3), (3, 4)]), dict(enumerate([1, 3, 2, 1, 2])),
+         "bicolored-path", (0, 2, 3, 4)),
+    ],
+)
+def test_witness_order(g, colors, kind, edge_ids):
+    vio = find_violation(g, EdgeColoring(max(colors.values()), colors))
+    assert vio == Violation(kind, edge_ids)
+
+
+def test_rainbow_coloring_of_long_path():
+    # only the 999 pairs of colors that meet at a vertex are walked, not
+    # all half a million pairs of the 1000 colors present
+    g = zoo.path(1001)
+    assert is_star_coloring(g, coloring(1000, range(1, 1001)))
+
+
 def test_partial_coloring_judged_on_colored_structures_only():
     partial = EdgeColoring(2, {0: 1, 1: 2, 2: 1})
     assert find_violation(zoo.path(5), partial) is None
