@@ -7,7 +7,7 @@ covers), discharge (charge ledger and audit), atlas (enumeration,
 sweeps, cache), cli (command-line front end).
 """
 
-from .density import girth, mad, mad_girth_bound
+from .density import girth, mad
 from .discharge import apply_rules, audit, initial_charges
 from .multigraph import (
     FormatError,
@@ -31,9 +31,7 @@ from .starcolor import (
     star_chromatic_index,
 )
 from .structure import (
-    ClassCounts,
     VertexProfile,
-    check_counting_inequality,
     classify,
     covers_cube,
     lemma_audit,
@@ -55,7 +53,6 @@ __all__ = [
     "emit_graph6",
     "mad",
     "girth",
-    "mad_girth_bound",
     "EdgeColoring",
     "Violation",
     "parse_coloring",
@@ -66,10 +63,8 @@ __all__ = [
     "star_chromatic_index",
     "is_star_critical",
     "VertexProfile",
-    "ClassCounts",
     "classify",
     "strip_ones",
-    "check_counting_inequality",
     "lemma_audit",
     "covers_cube",
     "verify_cover",

@@ -287,7 +287,7 @@ class SweepSummary:
 def _solve_graph(g: Multigraph) -> tuple[Fraction, int]:
     density, _ = mad(g)
     chi, cert = star_chromatic_index(g)
-    if not is_star_coloring(g, cert):
+    if not (cert.is_total(g.m) and is_star_coloring(g, cert)):
         raise RuntimeError("solver produced a certificate the verifier rejects")
     return density, chi
 
@@ -349,10 +349,12 @@ def sweep(
 ) -> SweepSummary:
     """Enumerate, solve (or recall), verify, and judge.
 
-    Graphs already present in the cache are not re-solved.  New results
-    are appended in enumeration order through this single process, so
-    the cache grows deterministically and the summary is independent of
-    both the cache temperature and the worker count.
+    Graphs already present in the cache are not re-solved.  The others
+    are solved by at most ``jobs`` worker processes, and by no more than
+    there are CPUs or graphs to solve; with one, in this process.  New
+    results are appended in enumeration order through this single
+    process, so the cache grows deterministically and the summary is
+    independent of both the cache temperature and the worker count.
     """
     for name in checks:
         if name not in CHECKS:
@@ -378,8 +380,9 @@ def sweep(
 
     if todo:
         graphs = [g for _, g in todo]
-        if jobs > 1:
-            with _WorkerPool(jobs) as pool:
+        workers = min(jobs, len(graphs), os.cpu_count() or 1)
+        if workers > 1:
+            with _WorkerPool(workers) as pool:
                 solved = list(pool.imap(_solve_graph, graphs, chunksize=8))
         else:
             solved = [_solve_graph(g) for g in graphs]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
-One executable, ten subcommands, three exit codes: 0 when the requested
+One executable, ten subcommands, four exit codes: 0 when the requested
 property holds (or the computation simply succeeded), 1 when a checked
 property fails (a violated coloring, a failed audit, a sweep
-counterexample), 2 for usage or input-format problems.  Every human
+counterexample), 2 for usage or input-format problems, 3 for an internal
+error (a defect of this toolkit, such as a certificate its own verifier
+rejects), reported as one ``internal error:`` line on stderr.  Every human
 report ends with a single line starting with ``RESULT:`` so scripts can
 grep one line per invocation; ``--json`` replaces the report with one
 machine-readable document.  Graph files may be edge lists or graph6;
@@ -30,6 +32,7 @@ from .multigraph import FormatError, Multigraph, parse_edge_list, parse_graph6
 from .starcolor import (
     emit_coloring,
     find_violation,
+    is_star_coloring,
     parse_coloring,
     star_chromatic_index,
 )
@@ -38,6 +41,7 @@ from .structure import covers_cube, lemma_audit
 PASS = 0
 FAIL = 1
 USAGE = 2
+INTERNAL = 3
 
 
 def _read_text(path: str) -> str:
@@ -83,6 +87,8 @@ def _cmd_chi(args) -> int:
             print(f"RESULT: >{args.max_k}")
         return FAIL
     chi, cert = found
+    if not (cert.is_total(g.m) and is_star_coloring(g, cert)):
+        raise RuntimeError("solver produced a certificate the verifier rejects")
     if args.cert:
         with open(args.cert, "w", encoding="ascii") as fh:
             fh.write(emit_coloring(cert))
@@ -451,7 +457,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("simple", "multi"), default="simple")
     p.add_argument("--check", default=",".join(atlas.CHECKS), help="comma-separated subset of " + ",".join(atlas.CHECKS))
     p.add_argument("--cache", default=os.environ.get("STARLINE_CACHE"), help="result cache file (default: $STARLINE_CACHE)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="solve with at most this many worker processes")
 
     p = add("critical", _cmd_critical, "hunt vertex-deletion-critical graphs and audit them")
     p.add_argument("--max-n", type=int, required=True)
@@ -473,6 +479,9 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 if __name__ == "__main__":

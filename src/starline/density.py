@@ -30,10 +30,10 @@ class _MaxFlow:
         self.adj[u].append([v, cap, len(self.adj[v])])
         self.adj[v].append([u, 0, len(self.adj[u]) - 1])
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        """Breadth-first distances from ``s`` in the residual network, or
-        None when ``t`` is unreachable.  Vertices no nearer than ``t`` are
-        not expanded: no shortest augmenting path passes through them."""
+    def _levels(self, s: int, t: int) -> list[int]:
+        """Breadth-first distances from ``s`` in the residual network, -1
+        where unreached.  Vertices no nearer than ``t`` are not expanded:
+        no shortest augmenting path passes through them."""
         level = [-1] * self.size
         level[s] = 0
         queue = [s]
@@ -44,7 +44,7 @@ class _MaxFlow:
                 if arc[1] > 0 and level[arc[0]] < 0:
                     level[arc[0]] = level[v] + 1
                     queue.append(arc[0])
-        return level if level[t] >= 0 else None
+        return level
 
     def _augment(self, s: int, t: int, level: list[int], it: list[int]) -> int:
         """Push flow along one ``s``-``t`` path of the level graph and
@@ -85,72 +85,49 @@ class _MaxFlow:
             else:
                 return 0
 
-    def max_flow(self, s: int, t: int) -> int:
-        total = 0
+    def source_side(self, s: int, t: int) -> set[int]:
+        """Push a maximum flow from ``s`` to ``t`` and return the source
+        side of the minimum cut: the vertices reachable from ``s`` in the
+        final residual network, which the last search (the one that
+        misses ``t``) expands in full."""
         while True:
             level = self._levels(s, t)
-            if level is None:
-                return total
+            if level[t] < 0:
+                return {v for v in range(self.size) if level[v] >= 0}
             it = [0] * self.size
-            while True:
-                got = self._augment(s, t, level, it)
-                if got == 0:
-                    break
-                total += got
-
-    def source_side(self, s: int) -> set[int]:
-        """Vertices reachable from ``s`` in the residual network; call after
-        :meth:`max_flow` to read off a minimum cut."""
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for to, cap, _ in self.adj[v]:
-                if cap > 0 and to not in seen:
-                    seen.add(to)
-                    stack.append(to)
-        return seen
+            while self._augment(s, t, level, it):
+                pass
 
 
-def _density_network(g: Multigraph, p: int, q: int) -> tuple[_MaxFlow, int, int, int]:
-    """Network whose min cut decides whether some nonempty S has
-    ``e(G[S]) * q > p * |S|``.
+def _denser_subset(g: Multigraph, density: Fraction) -> set[int] | None:
+    """A nonempty vertex set with ``e(G[S]) / |S| > density``, else None.
 
-    Vertex ``v`` has supply ``d(v)*q - 2*p``: an arc from the source when
-    it is positive, to the sink when it is negative.  For the cut with
-    source side ``{s} | S`` the capacity works out to
-    ``supply - 2*(q*e(S) - p*|S|)``, where ``supply`` is the total source
-    capacity, so a maximum flow that leaves a source arc unsaturated
-    certifies a subset denser than ``p/q`` and the residual source side
-    names it (Goldberg's network, each vertex's two terminal arcs reduced
-    by their common part).
+    Goldberg's network, each vertex's two terminal arcs reduced by their
+    common part: vertex ``v`` has supply ``d(v)*q - 2*p`` for
+    ``density = p/q``, an arc from the source when it is positive, to the
+    sink when it is negative.  The cut with source side ``{s} | S`` has
+    capacity ``supply - 2*(q*e(S) - p*|S|)``, where ``supply`` is the
+    total source capacity, so a set denser than ``p/q`` exists exactly
+    when a maximum flow leaves some source arc unsaturated.  Then the
+    residual source side reaches past ``s`` and names such a set; it is
+    the same for every maximum flow.
     """
+    p, q = density.numerator, density.denominator
     n = g.n
     net = _MaxFlow(n + 2)
     s, t = n, n + 1
-    supply = 0
     for v in range(n):
         excess = g.degree(v) * q - 2 * p
         if excess > 0:
             net.add_edge(s, v, excess)
-            supply += excess
         elif excess < 0:
             net.add_edge(v, t, -excess)
     for u, v in g.edges:
         net.add_edge(u, v, q)
         net.add_edge(v, u, q)
-    return net, s, t, supply
-
-
-def _denser_subset(g: Multigraph, density: Fraction) -> set[int] | None:
-    """A nonempty vertex set with ``e(G[S]) / |S| > density``, else None."""
-    p, q = density.numerator, density.denominator
-    net, s, t, supply = _density_network(g, p, q)
-    if net.max_flow(s, t) >= supply:
-        return None
-    side = net.source_side(s)
+    side = net.source_side(s, t)
     side.discard(s)
-    return side
+    return side or None
 
 
 def mad(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
@@ -179,9 +156,8 @@ def mad(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
 def girth(g: Multigraph) -> int | float:
     """Length of a shortest cycle; a parallel pair is a 2-cycle; ``inf``
     for forests."""
-    for u, v in set(g.edges):
-        if g.multiplicity(u, v) >= 2:
-            return 2
+    if not g.is_simple:
+        return 2
     n = g.n
     best: int | float = math.inf
     for s in range(n):
@@ -203,10 +179,3 @@ def girth(g: Multigraph) -> int | float:
                     if cand < best:
                         best = cand
     return best
-
-
-def mad_girth_bound(girth_value: int) -> Fraction:
-    """The density bound ``2g / (g - 2)`` forced by girth ``g >= 3``."""
-    if not isinstance(girth_value, int) or girth_value < 3:
-        raise ValueError(f"girth bound needs an integer girth >= 3, got {girth_value!r}")
-    return Fraction(2 * girth_value, girth_value - 2)

@@ -138,7 +138,7 @@ def _bad_runs(h: Multigraph, profiles) -> tuple[list[tuple[int, ...]], list[str]
 
 def apply_rules(h: Multigraph) -> ChargeLedger:
     """Run R1 through R4 and return the full transfer ledger."""
-    profiles, _ = classify(h)
+    profiles = classify(h)
     deg = h.degrees
     initial = initial_charges(h)
     flags = [f"low-degree:{v}" for v in range(h.n) if deg[v] < 2]

@@ -59,10 +59,6 @@ class Multigraph:
     def max_degree(self) -> int:
         return max(self.degrees, default=0)
 
-    @property
-    def min_degree(self) -> int:
-        return min(self.degrees, default=0)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of ``v``, ascending."""
         return self._neighbor_tuples[v]
@@ -83,9 +79,6 @@ class Multigraph:
 
     def multiplicity(self, u: int, v: int) -> int:
         return sum(1 for w, _ in self.adjacency[u] if w == v)
-
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self.edges[edge_id]
 
     def other_end(self, edge_id: int, v: int) -> int:
         a, b = self.edges[edge_id]
@@ -145,13 +138,6 @@ class Multigraph:
         kept = [pair for i, pair in enumerate(self.edges) if i != edge_id]
         return build(self.n, kept)
 
-    def relabel(self, perm: tuple[int, ...] | list[int]) -> "Multigraph":
-        """Apply the vertex bijection ``v -> perm[v]``; edge ids keep their
-        order, so colorings transfer verbatim."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm is not a permutation of the vertices")
-        return build(self.n, [(perm[a], perm[b]) for a, b in self.edges])
-
 
 def build(n: int, edge_list) -> Multigraph:
     """Assemble a :class:`Multigraph` from endpoint pairs.
@@ -187,8 +173,8 @@ def build(n: int, edge_list) -> Multigraph:
 # canonical form
 # ----------------------------------------------------------------------
 
-def canonical_form(g: Multigraph, *, max_n: int = CANONICAL_MAX_N) -> bytes:
-    """Isomorphism-invariant byte string, exact for ``n <= max_n``.
+def canonical_form(g: Multigraph) -> bytes:
+    """Isomorphism-invariant byte string for ``n <= CANONICAL_MAX_N``.
 
     Two graphs receive the same form exactly when some vertex bijection
     preserves edge multiplicities between them.  The form is the byte
@@ -204,8 +190,8 @@ def canonical_form(g: Multigraph, *, max_n: int = CANONICAL_MAX_N) -> bytes:
     The serialization encodes the full matrix, so equality of forms is a
     certificate of isomorphism regardless of the partition used to prune.
     """
-    if g.n > max_n:
-        raise ValueError(f"canonical form limited to n <= {max_n}, got n = {g.n}")
+    if g.n > CANONICAL_MAX_N:
+        raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX_N}, got n = {g.n}")
     n = g.n
     if n == 0:
         return b"\x00"

@@ -16,7 +16,9 @@ of a finished (or partial) coloring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from itertools import combinations
 from types import MappingProxyType
 
 from .multigraph import FormatError, Multigraph
@@ -24,45 +26,35 @@ from .multigraph import FormatError, Multigraph
 SUBCUBIC_COLOR_CAP = 7  # no subcubic multigraph needs more colors than this
 
 
+@dataclass(frozen=True, slots=True)
 class EdgeColoring:
     """Palette size ``k`` plus a (possibly partial) edge-id -> color map.
 
-    Colors are integers in ``1..k``.  Instances are read-only.
+    Colors are integers in ``1..k``.  Instances are read-only; the map is
+    stored as a read-only view of a private copy, so they are neither
+    hashable nor picklable.
     """
 
-    __slots__ = ("k", "assignment")
+    k: int
+    assignment: Mapping[int, int] = field(default_factory=dict)
 
-    def __init__(self, k: int, assignment=()):
+    def __post_init__(self):
+        k = self.k
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"palette size must be a nonnegative integer, got {k!r}")
-        colors = dict(assignment)
+        colors = dict(self.assignment)
         for eid, c in colors.items():
             if not isinstance(eid, int) or eid < 0:
                 raise ValueError(f"edge id {eid!r} is not a nonnegative integer")
             if not isinstance(c, int) or not 1 <= c <= k:
                 raise ValueError(f"color {c!r} for edge {eid} outside 1..{k}")
-        object.__setattr__(self, "k", k)
         object.__setattr__(self, "assignment", MappingProxyType(colors))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("EdgeColoring is immutable")
 
     def color(self, edge_id: int) -> int | None:
         return self.assignment.get(edge_id)
 
     def is_total(self, m: int) -> bool:
         return all(e in self.assignment for e in range(m))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EdgeColoring)
-            and self.k == other.k
-            and dict(self.assignment) == dict(other.assignment)
-        )
-
-    def __repr__(self):
-        body = ", ".join(f"{e}: {c}" for e, c in sorted(self.assignment.items()))
-        return f"EdgeColoring(k={self.k}, {{{body}}})"
 
 
 def parse_coloring(text: str) -> EdgeColoring:
@@ -128,6 +120,25 @@ def _alternating_walk(
     return vertices, edges
 
 
+def _listed_from(
+    g: Multigraph, at: list[dict[int, int]], v: int, x: int, y: int
+) -> Violation:
+    """The component of colors ``x`` and ``y`` through its least vertex
+    ``v``, which has four or more edges, as a violation."""
+    # leave v along the smaller edge id
+    lead = x if at[v].get(x, g.m) < at[v].get(y, g.m) else y
+    ahead, edges = _alternating_walk(g, at, v, lead, x, y)
+    if len(ahead) == len(edges) == 4:
+        return Violation("bicolored-cycle", tuple(edges))
+    if len(ahead) > len(edges):  # a path: list it from its smaller end
+        behind, back = _alternating_walk(g, at, v, x + y - lead, x, y)
+        if behind[-1] < ahead[-1]:
+            edges = back[::-1] + edges
+        else:
+            edges = edges[::-1] + back
+    return Violation("bicolored-path", tuple(edges[:4]))
+
+
 def find_violation(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
     """First violation, or None.
 
@@ -135,14 +146,16 @@ def find_violation(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
     the edge of each color at each vertex; a second edge of a color at a
     vertex is an improper pair, reported earlier edge first.  Then, for
     each pair of colors x < y that meet at some vertex, in ascending
-    order, the components of their union are walked through the table,
-    each from its least vertex, in ascending order of that vertex.  The
-    first with four or more edges is the witness: a 4-cycle is a
-    ``bicolored-cycle`` listed from its least vertex along the smaller
-    edge id there; a path is a ``bicolored-path`` of its first four edges
-    from its smaller end; a longer cycle is a ``bicolored-path`` of the
-    first four edges of its listing.  Uncolored edges are ignored, so
-    partial colorings are judged on their colored structures only.
+    order, the components of their union are walked through the table
+    from the vertices where x and y meet (every component of two or more
+    edges has one).  Of those with four or more edges, the one with the
+    least smallest vertex is the witness, listed from that vertex: a
+    4-cycle is a ``bicolored-cycle`` listed from its least vertex along
+    the smaller edge id there; a path is a ``bicolored-path`` of its
+    first four edges from its smaller end; a longer cycle is a
+    ``bicolored-path`` of the first four edges of its listing.  Uncolored
+    edges are ignored, so partial colorings are judged on their colored
+    structures only.
     """
     for eid in coloring.assignment:
         if eid >= g.m:
@@ -156,30 +169,26 @@ def find_violation(g: Multigraph, coloring: EdgeColoring) -> Violation | None:
             first = at[v].setdefault(c, eid)
             if first != eid:
                 return Violation("improper", (first, eid))
-    # only colors that meet at some vertex can form a component of two edges
-    pairs = sorted({(x, y) for here in at for x in here for y in here if x < y})
-    for x, y in pairs:
-        met = [False] * g.n
-        for v in range(g.n):
-            if met[v] or (x not in at[v] and y not in at[v]):
+    meets: dict[tuple[int, int], list[int]] = {}
+    for v, here in enumerate(at):
+        for pair in combinations(sorted(here), 2):
+            meets.setdefault(pair, []).append(v)
+    for x, y in sorted(meets):
+        seen: set[int] = set()
+        least = g.n  # least vertex of a component with four or more edges
+        for v in meets[x, y]:
+            if v in seen:
                 continue
-            # v is the least vertex of its component: leave it along the
-            # smaller edge id
-            lead = x if at[v].get(x, g.m) < at[v].get(y, g.m) else y
-            ahead, edges = _alternating_walk(g, at, v, lead, x, y)
-            if len(ahead) == len(edges) == 4:
-                return Violation("bicolored-cycle", tuple(edges))
-            if len(ahead) > len(edges):  # a path: list it from its smaller end
-                behind, back = _alternating_walk(g, at, v, x + y - lead, x, y)
-                if behind[-1] < ahead[-1]:
-                    edges = back[::-1] + edges
-                else:
-                    edges = edges[::-1] + back
+            ahead, edges = _alternating_walk(g, at, v, x, x, y)
+            if len(ahead) > len(edges):  # not a cycle: walk the other way too
+                behind, back = _alternating_walk(g, at, v, y, x, y)
                 ahead += behind
+                edges += back
+            seen.update(ahead)
             if len(edges) >= 4:
-                return Violation("bicolored-path", tuple(edges[:4]))
-            for u in ahead:
-                met[u] = True
+                least = min(least, *ahead)
+        if least < g.n:
+            return _listed_from(g, at, least, x, y)
     return None
 
 
@@ -367,8 +376,6 @@ class CriticalityReport:
     """
 
     critical: bool
-    k: int
-    colorable_at_k: bool
     deletion_chi: tuple[int, ...] | None
 
 
@@ -376,10 +383,8 @@ def is_star_critical(g: Multigraph, k: int = 5) -> CriticalityReport:
     """True iff ``g`` is not star k-colorable but every single-vertex
     deletion is."""
     if is_star_k_colorable(g, k) is not None:
-        return CriticalityReport(False, k, True, None)
+        return CriticalityReport(False, None)
     deletion_chi = tuple(
         star_chromatic_index(g.delete_vertex(v))[0] for v in range(g.n)
     )
-    return CriticalityReport(
-        all(c <= k for c in deletion_chi), k, False, deletion_chi
-    )
+    return CriticalityReport(all(c <= k for c in deletion_chi), deletion_chi)

@@ -49,16 +49,7 @@ class VertexProfile:
     bad32: bool
 
 
-@dataclass(frozen=True)
-class ClassCounts:
-    """Counts of degree-1, degree-2 and degree-3 vertices."""
-
-    n1: int
-    n2: int
-    n3: int
-
-
-def classify(g: Multigraph) -> tuple[tuple[VertexProfile, ...], ClassCounts]:
+def classify(g: Multigraph) -> tuple[VertexProfile, ...]:
     """Profile every vertex of a subcubic multigraph."""
     if g.max_degree > 3:
         raise ValueError(f"maximum degree {g.max_degree} exceeds 3")
@@ -77,12 +68,7 @@ def classify(g: Multigraph) -> tuple[tuple[VertexProfile, ...], ClassCounts]:
             class3k = len(two_ends)
             bad32 = class3k == 2 and all(status[u] == BAD for u in two_ends)
         profiles.append(VertexProfile(deg[v], class3k, status[v], bad32))
-    counts = ClassCounts(
-        sum(1 for d in deg if d == 1),
-        sum(1 for d in deg if d == 2),
-        sum(1 for d in deg if d == 3),
-    )
-    return tuple(profiles), counts
+    return tuple(profiles)
 
 
 def strip_ones(g: Multigraph) -> tuple[Multigraph, tuple[int, ...]]:
@@ -100,19 +86,6 @@ def strip_ones(g: Multigraph) -> tuple[Multigraph, tuple[int, ...]]:
         if u in new_of_old and v in new_of_old
     ]
     return build(len(keep), edges), tuple(keep)
-
-
-def check_counting_inequality(g: Multigraph) -> bool:
-    """Whether 3*n3 < 2*n2 + 7*n1 over the degree-class counts.
-
-    For a subcubic graph without isolated vertices this is a theorem
-    whenever mad < 12/5: from 5 * 2m < 12n with 2m = n1 + 2*n2 + 3*n3
-    and n = n1 + n2 + n3.  An isolated vertex weakens the right side
-    (it contributes to n but to no class), so the implication is only
-    quantified over graphs with minimum degree >= 1.
-    """
-    _, counts = classify(g)
-    return 3 * counts.n3 < 2 * counts.n2 + 7 * counts.n1
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +245,7 @@ def _two_vertex_checks(g: Multigraph) -> list[LemmaCheck]:
 
 
 def _pruned_graph_checks(h: Multigraph) -> list[LemmaCheck]:
-    profiles, _ = classify(h)
+    profiles = classify(h)
     deg = h.degrees
     nbrs = [h.neighbors(v) for v in range(h.n)]
 
@@ -410,13 +383,11 @@ def covers_cube(g: Multigraph) -> dict[int, int] | None:
 
     The map sends edges to edges and restricts to a bijection between
     each vertex's neighborhood and its image's.  Only simple connected
-    cubic graphs can cover the cube; anything else returns None at once.
-    The first vertex is pinned to image 0, which loses no generality
-    because the cube is vertex-transitive.
+    cubic graphs can cover the cube; anything else returns None before
+    the search.  The first vertex is pinned to image 0, which loses no
+    generality because the cube is vertex-transitive.
     """
     if g.n == 0 or not g.is_simple or any(d != 3 for d in g.degrees):
-        return None
-    if not g.is_connected():
         return None
     order = [0]
     seen = {0}
@@ -428,6 +399,8 @@ def covers_cube(g: Multigraph) -> dict[int, int] | None:
             if u not in seen:
                 seen.add(u)
                 order.append(u)
+    if len(order) < g.n:
+        return None  # disconnected
     image = [-1] * g.n
 
     def admissible(v: int, target: int) -> bool:

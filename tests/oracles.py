@@ -72,7 +72,7 @@ def oracle_star_colorable(g: Multigraph, k: int) -> dict[int, int] | None:
     def place(eid: int) -> bool:
         if eid == g.m:
             return True
-        u, v = g.endpoints(eid)
+        u, v = g.edges[eid]
         taken = {
             colors[other]
             for w in (u, v)
@@ -278,7 +278,7 @@ def oracle_girth(g: Multigraph) -> int | float:
     between its endpoints, add the edge back."""
     best = INF
     for eid in range(g.m):
-        u, v = g.endpoints(eid)
+        u, v = g.edges[eid]
         trimmed = g.delete_edge(eid)
         dist = {u: 0}
         frontier = [u]

@@ -1,3 +1,4 @@
+import os
 import zlib
 from collections import Counter
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given
 import oracles
 import zoo
 from starline import (
+    atlas,
     build,
     canonical_form,
     enumerate_graphs,
@@ -275,6 +277,55 @@ def test_missing_cache_is_empty():
     entries, warnings = load_cache("/nonexistent/path/results.cache")
     assert entries == {}
     assert warnings == []
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the worker pool with an in-process map that records the
+    size each pool is opened with."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, items, chunksize=1):
+            return map(func, items)
+
+    monkeypatch.setattr(atlas, "_WorkerPool", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "max_n,jobs,cpus,size",
+    [
+        (5, 64, 4, 4),  # 20 misses: no more workers than CPUs
+        (5, 3, 4, 3),  # no more than asked for
+        (3, 64, 64, 4),  # no more than misses (4 graphs at n <= 3)
+        (5, 64, 1, None),  # one worker: solved in this process
+        (5, 64, None, None),  # CPU count unknown: as for one CPU
+    ],
+)
+def test_sweep_bounds_its_workers(pool_sizes, monkeypatch, max_n, jobs, cpus, size):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    summary = sweep(max_n, "simple", jobs=jobs)
+    assert pool_sizes == ([] if size is None else [size])
+    assert summary.records == sweep(max_n, "simple").records
+
+
+def test_warm_sweep_opens_no_pool(pool_sizes, monkeypatch, tmp_path):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    cache = str(tmp_path / "results.cache")
+    sweep(5, "simple", cache=cache, jobs=2)
+    assert pool_sizes == [2]
+    sweep(5, "simple", cache=cache, jobs=2)
+    assert pool_sizes == [2]
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

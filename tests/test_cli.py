@@ -11,7 +11,16 @@ import pytest
 
 import starline
 import zoo
-from starline import atlas, canonical_form, emit_edge_list, find_violation, parse_coloring
+from starline import (
+    EdgeColoring,
+    atlas,
+    canonical_form,
+    cli,
+    emit_edge_list,
+    find_violation,
+    parse_coloring,
+    star_chromatic_index,
+)
 from starline.cli import _build_parser, main
 
 
@@ -56,6 +65,22 @@ def test_chi_certificate_verifies(run, graph_file, tmp_path):
     assert last_line(out) == "RESULT: 4"
     coloring = parse_coloring(cert_path.read_text())
     assert find_violation(zoo.cube(), coloring) is None
+
+
+def test_chi_rejected_certificate_is_an_internal_error(run, graph_file, tmp_path, monkeypatch):
+    g = zoo.cube()
+    chi, cert = star_chromatic_index(g)
+    colors = dict(cert.assignment)
+    u = g.edges[0][0]
+    colors[0] = colors[next(e for _, e in g.adjacency[u] if e != 0)]  # now improper
+    broken = (chi, EdgeColoring(cert.k, colors))
+    monkeypatch.setattr(cli, "star_chromatic_index", lambda g, max_k: broken)
+    cert_path = tmp_path / "cert.txt"
+    code, out, err = run("chi", graph_file(g), "--cert", str(cert_path))
+    assert code == 3
+    assert "RESULT" not in out
+    assert err == "internal error: RuntimeError: solver produced a certificate the verifier rejects\n"
+    assert not cert_path.exists()
 
 
 def test_chi_bounded_search_fails_cleanly(run, graph_file):
@@ -354,6 +379,33 @@ def test_sweep_conj6_counterexample_is_only_reported(run, misreport):
     assert "check conj6: 20 checked, 1 counterexamples" in out
     assert "check main5: 14 checked, 0 counterexamples" in out
     assert last_line(out) == "RESULT: PASS (20 graphs, conj6: 1 reported)"
+
+
+def test_sweep_solver_error_is_an_internal_error(run, monkeypatch):
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+
+    def broken(g):
+        raise RuntimeError("no star coloring found")
+
+    monkeypatch.setattr(atlas, "_solve_graph", broken)
+    code, out, err = run("sweep", "--max-n", "4", "--jobs", "1")
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: RuntimeError: no star coloring found\n"
+
+
+def test_sweep_partial_certificate_is_an_internal_error(run, monkeypatch):
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+    solve = atlas.star_chromatic_index
+
+    def partial(g):
+        chi, cert = solve(g)
+        return chi, EdgeColoring(cert.k, {e: c for e, c in cert.assignment.items() if e})
+
+    monkeypatch.setattr(atlas, "star_chromatic_index", partial)
+    code, out, err = run("sweep", "--max-n", "3", "--jobs", "1")
+    assert code == 3
+    assert err == "internal error: RuntimeError: solver produced a certificate the verifier rejects\n"
 
 
 def test_critical_failed_lemma_audit_fails(run, monkeypatch):

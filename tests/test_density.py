@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,13 +9,27 @@ from hypothesis import given, strategies as st
 import oracles
 import zoo
 from oracles import mad_brute
-from starline import build, enumerate_graphs, girth, mad, mad_girth_bound
+from starline import build, enumerate_graphs, girth, mad
 from strategies import random_subcubic, subcubic_multigraphs
 
 
 def edges_inside(g, subset):
     inside = set(subset)
     return sum(1 for u, v in g.edges if u in inside and v in inside)
+
+
+def densest_union(g):
+    """Union of every vertex set attaining the maximum ``e(S) / |S|``,
+    found by scanning all nonempty subsets."""
+    best, union = Fraction(-1), set()
+    for size in range(1, g.n + 1):
+        for subset in itertools.combinations(range(g.n), size):
+            density = Fraction(edges_inside(g, subset), size)
+            if density > best:
+                best, union = density, set(subset)
+            elif density == best:
+                union.update(subset)
+    return tuple(sorted(union))
 
 
 # ----------------------------------------------------------------------
@@ -47,6 +62,12 @@ def test_mad_dense_core_found():
     density, witness = mad(g)
     assert density == 3
     assert sorted(witness) == [0, 1, 2, 3]
+
+
+def test_mad_witness_is_union_of_densest_sets():
+    for mode, top in (("simple", 8), ("multigraph", 6)):
+        for g in enumerate_graphs(top, mode):
+            assert mad(g)[1] == densest_union(g), g.edges
 
 
 def test_mad_errors():
@@ -126,20 +147,3 @@ def test_girth_examples():
 @given(subcubic_multigraphs(max_n=8))
 def test_girth_matches_oracle(g):
     assert girth(g) == oracles.oracle_girth(g)
-
-
-# ----------------------------------------------------------------------
-# girth-based density bound
-# ----------------------------------------------------------------------
-
-def test_mad_girth_bound_values():
-    assert mad_girth_bound(12) == Fraction(12, 5)
-    assert mad_girth_bound(3) == 6
-    assert mad_girth_bound(4) == 4
-
-
-def test_mad_girth_bound_rejects():
-    with pytest.raises(ValueError):
-        mad_girth_bound(2)
-    with pytest.raises(ValueError):
-        mad_girth_bound(math.inf)

@@ -26,7 +26,7 @@ def transfer_tuples(ledger):
 
 def naive_final_charges(h):
     """Independent restatement of the rules, vertex by vertex."""
-    profiles, _ = classify(h)
+    profiles = classify(h)
     deg = h.degrees
     final = [Fraction(d) - FIVE_COLOR_DENSITY for d in deg]
     for v in range(h.n):

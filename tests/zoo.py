@@ -7,6 +7,13 @@ independent of the enumeration machinery they help to test.
 from starline import Multigraph, build
 
 
+def relabel(g: Multigraph, perm) -> Multigraph:
+    """Apply the vertex bijection ``v -> perm[v]``; edge ids keep their
+    order, so colorings transfer verbatim."""
+    assert sorted(perm) == list(range(g.n))
+    return build(g.n, [(perm[a], perm[b]) for a, b in g.edges])
+
+
 def path(n: int) -> Multigraph:
     return build(n, [(i, i + 1) for i in range(n - 1)])
 
