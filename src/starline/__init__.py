@@ -14,6 +14,7 @@ from .multigraph import (
     Multigraph,
     build,
     canonical_form,
+    decode_canonical,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -47,6 +48,7 @@ __all__ = [
     "Multigraph",
     "build",
     "canonical_form",
+    "decode_canonical",
     "parse_edge_list",
     "emit_edge_list",
     "parse_graph6",

@@ -34,10 +34,24 @@ chromatic index, verify each certificate against the definitional
 checker, and evaluate the requested claims.  Results keyed by canonical
 form are appended to a cache file whose lines carry their own checksums;
 a warm cache changes the work done but never the summary produced.
+
+A warm sweep skips enumeration when the cache provably holds the whole
+catalogue.  For every level (mode, n) the module freezes the number of
+classes and the SHA-256 of their sorted, concatenated canonical forms.
+When the cached forms of every level up to max_n match their row, and
+each record's (n, m, simple) is what its own form spells (``n =
+form[0]``, ``m = sum(form[1:])``, simple when no byte exceeds 1), the
+records in form order are the sweep; any mismatch falls back to
+enumeration and re-solves what is missing or inconsistent.  A forged or
+damaged cache therefore cannot change which classes a sweep reports
+(the solved values in a line with a valid checksum are still trusted).
+The checks read the records alone; ``cube-equiv`` decodes each cubic
+graph from its form (``decode_canonical``).
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import zlib
 from dataclasses import dataclass
@@ -48,7 +62,7 @@ from typing import Iterator
 
 from .density import mad
 from .discharge import FIVE_COLOR_DENSITY, AuditReport, apply_rules, audit
-from .multigraph import Multigraph, build, canonical_form
+from .multigraph import Multigraph, build, canonical_form, decode_canonical
 from .starcolor import (
     CriticalityReport,
     is_star_coloring,
@@ -57,11 +71,42 @@ from .starcolor import (
 )
 from .structure import LemmaReport, covers_cube, lemma_audit, strip_ones, verify_cover
 
-SIMPLE_MAX_N = 12
-MULTI_MAX_N = 9
 MODES = ("simple", "multigraph")
 CHECKS = ("thm13a", "conj6", "main5", "cube-equiv")
 CACHE_HEADER = "starline-cache v1"
+
+# Per vertex count n = 1, 2, ...: the number of connected classes and the
+# SHA-256 of their canonical forms, sorted and concatenated (all forms of
+# one level have 1 + n(n-1)/2 bytes, so the concatenation is unambiguous).
+# Frozen from full enumeration; tests re-derive the rows at acceptance
+# scale.  The rows also set how far each mode may be enumerated.
+_CATALOGUE = {
+    "simple": (
+        (1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
+        (1, "25dfd29c09617dcc9852281c030e5b3037a338a4712a42a21c907f259c6412a0"),
+        (2, "df21ee35d67a541a9073706c2b627ea97f47318e8664aa7047abd7153e2aa264"),
+        (6, "9341bacbeb0451c7d2297e6aafd86537d8f4599ac16959e4e598d854ccfd295e"),
+        (10, "6dac60930a4925be2370f1b9963ae6f903976f0f1b0b1cb36107b7f124b7e329"),
+        (29, "3114cea5825cd7d59a9f51305ef9d81b616a62876b08887f510ea5755318dd2d"),
+        (64, "ab081cc7ba21dfdf87e66d3ea225048ceab7998d0f93d87adea54853e7dae47f"),
+        (194, "fe3ca68b793ca2bbedfb5733feeee34514832e941722190e3588425bae7715bf"),
+        (531, "1cd91aeab9819ac00354e16661fc692ddf0b8c694b82c18649e5267cf590f541"),
+        (1733, "8d1263dcda17a47d6445bd28aa268ed8929923293f74c64934055ec4daaf9b1e"),
+        (5524, "a03d5b72b15d6b4afc585969c7ef074dd3bef9b0b14732f2a9ab90c0f2a9656f"),
+        (19430, "5ff8657070d8ef7eb1eff6ec76e17752cd2bd1f758087ec44405022e98c30f7c"),
+    ),
+    "multigraph": (
+        (1, "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a"),
+        (3, "f3ce6fb435e41fae0b716df7be6c339f5c9f096508523a1809bd967dc21c7db4"),
+        (4, "f2097bcec3548e3938c50571ed358e3706c97ae76ecde3a6d3ecb6e233d54009"),
+        (12, "c65ad696e0337c5ebaaff196e34f30b850e84c4b84c2f97034223d6ee4325b31"),
+        (22, "1fefd208554fcb56cbd932cd7fbd2005b5610379a42e4d855c26cdc2e75ea334"),
+        (68, "c74921000e89b31c1903ed37a005a2f0d28aee056bf8fcbec23c406710df3261"),
+        (166, "c35dd43c89fed9d5efa0d9462482707349e6329842f835ac14ce1dbffc270474"),
+        (534, "d5ecda5e568377486dafb161a119ce3d91c252f1eadb83ce49c5e809b190d018"),
+        (1589, "c36063713fccadc1c0a627174b104401b268d357713f2f72926ac112d34ba022"),
+    ),
+}
 
 
 # ----------------------------------------------------------------------
@@ -125,14 +170,18 @@ def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
     return all(_splits(nbrs, w) for w in larger)
 
 
+def _check_scale(max_n: int, mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    guard = len(_CATALOGUE[mode])
+    if not isinstance(max_n, int) or max_n > guard:
+        raise ValueError(f"max_n {max_n!r} exceeds the {mode} guard of {guard}")
+
+
 def _levels(
     max_n: int, mode: str, connected: bool
 ) -> Iterator[list[tuple[bytes, Multigraph]]]:
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    guard = SIMPLE_MAX_N if mode == "simple" else MULTI_MAX_N
-    if not isinstance(max_n, int) or max_n > guard:
-        raise ValueError(f"max_n {max_n!r} exceeds the {mode} guard of {guard}")
+    _check_scale(max_n, mode)
     if max_n < 1:
         return
     single = build(1, [])
@@ -208,12 +257,17 @@ def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
     warnings: list[str] = []
     if not os.path.exists(path):
         return entries, warnings
-    with open(path, encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    # surrogateescape keeps each non-ASCII byte inside its own line, so one
+    # such line is skipped like any other corrupt line
+    with open(path, "rb") as fh:
+        lines = fh.read().decode("ascii", "surrogateescape").splitlines()
     if not lines or lines[0].strip() != CACHE_HEADER:
         warnings.append(f"{path}: missing '{CACHE_HEADER}' header, ignoring file")
         return entries, warnings
     for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.isascii():
+            warnings.append(f"{path}:{lineno}: not ASCII, skipped")
+            continue
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -246,12 +300,15 @@ def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
 
 
 def _append_cache(path: str, new_entries: list[SweepRecord]) -> None:
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="ascii") as fh:
-        if fresh:
-            fh.write(CACHE_HEADER + "\n")
-        for entry in new_entries:
-            fh.write(_cache_line(entry) + "\n")
+    with open(path, "ab+") as fh:
+        if fh.seek(0, os.SEEK_END) == 0:
+            lead = CACHE_HEADER + "\n"
+        else:
+            # a last line cut off mid-write must not swallow the first new one
+            fh.seek(-1, os.SEEK_END)
+            lead = "" if fh.read(1) == b"\n" else "\n"
+        text = lead + "".join(_cache_line(entry) + "\n" for entry in new_entries)
+        fh.write(text.encode("ascii"))
 
 
 # ----------------------------------------------------------------------
@@ -297,19 +354,17 @@ def _solve_graph(g: Multigraph) -> tuple[Fraction, int]:
 _CHI_BOUNDS = {"thm13a": 7, "conj6": 6}
 
 
-def _evaluate_check(
-    name: str, pairs: list[tuple[Multigraph, SweepRecord]]
-) -> CheckResult:
+def _evaluate_check(name: str, records: list[SweepRecord]) -> CheckResult:
     bad: list[tuple[str, str]] = []
     checked = 0
     if name in _CHI_BOUNDS:
         bound = _CHI_BOUNDS[name]
-        checked = len(pairs)
-        for _, rec in pairs:
+        checked = len(records)
+        for rec in records:
             if rec.chi > bound:
                 bad.append((rec.canon.hex(), f"chi_s={rec.chi} exceeds {bound}"))
     elif name == "main5":
-        for _, rec in pairs:
+        for rec in records:
             if rec.density < FIVE_COLOR_DENSITY:
                 checked += 1
                 if rec.chi > 5:
@@ -320,13 +375,15 @@ def _evaluate_check(
                         )
                     )
     elif name == "cube-equiv":
-        for g, rec in pairs:
-            if not (rec.simple and all(d == 3 for d in g.degrees)):
+        for rec in records:
+            # a subcubic graph is cubic exactly when it has 3n/2 edges
+            if not (rec.simple and 2 * rec.m == 3 * rec.n):
                 continue
             checked += 1
             if rec.chi < 4:
                 bad.append((rec.canon.hex(), f"cubic with chi_s={rec.chi} below 4"))
                 continue
+            g = decode_canonical(rec.canon)
             cover = covers_cube(g)
             if cover is not None and not verify_cover(g, cover):
                 bad.append((rec.canon.hex(), "cover found but failed verification"))
@@ -340,6 +397,31 @@ def _evaluate_check(
     return CheckResult(name, checked, tuple(bad))
 
 
+def _cached_records(
+    known: dict[bytes, SweepRecord], max_n: int, mode: str
+) -> list[SweepRecord] | None:
+    """The sweep's records, in catalogue order, read from the cache alone:
+    None unless the cached forms of every level 1..max_n are exactly the
+    frozen ``_CATALOGUE`` row (only simple entries count in simple mode)
+    and every such record's ``(n, m, simple)`` is what its form spells."""
+    levels: dict[int, list[bytes]] = {}
+    for canon, rec in known.items():
+        n = canon[0]
+        if len(canon) == 1 + n * (n - 1) // 2 and (rec.simple or mode != "simple"):
+            levels.setdefault(n, []).append(canon)
+    records: list[SweepRecord] = []
+    for n, (count, digest) in enumerate(_CATALOGUE[mode][:max_n], start=1):
+        forms = sorted(levels.get(n, ()))
+        if len(forms) != count or hashlib.sha256(b"".join(forms)).hexdigest() != digest:
+            return None
+        records += (known[form] for form in forms)
+    for rec in records:
+        n, body = rec.canon[0], rec.canon[1:]
+        if (rec.n, rec.m, rec.simple) != (n, sum(body), max(body, default=0) <= 1):
+            return None
+    return records
+
+
 def sweep(
     max_n: int,
     mode: str = "simple",
@@ -349,7 +431,11 @@ def sweep(
 ) -> SweepSummary:
     """Enumerate, solve (or recall), verify, and judge.
 
-    Graphs already present in the cache are not re-solved.  The others
+    When the cache holds every class of every level up to ``max_n``, as
+    the frozen per-level counts and digests in ``_CATALOGUE`` attest, and
+    each record agrees with its own canonical form, the sweep is read from
+    the cache with no enumeration.  Otherwise the catalogue is enumerated,
+    and graphs already present in the cache are not re-solved.  The others
     are solved by at most ``jobs`` worker processes, and by no more than
     there are CPUs or graphs to solve; with one, in this process.  New
     results are appended in enumeration order through this single
@@ -361,12 +447,43 @@ def sweep(
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
-    pairs = [pair for level in _levels(max_n, mode, True) for pair in level]
+    _check_scale(max_n, mode)
     known: dict[bytes, SweepRecord] = {}
     warnings: list[str] = []
     if cache is not None:
         known, warnings = load_cache(cache)
+    records = _cached_records(known, max_n, mode)
+    if records is not None:
+        misses = 0
+    else:
+        records, misses = _enumerate_and_solve(
+            max_n, mode, known, warnings, cache, jobs
+        )
+    results = tuple(_evaluate_check(name, records) for name in checks)
+    return SweepSummary(
+        mode,
+        max_n,
+        tuple(records),
+        results,
+        cache_hits=len(records) - misses,
+        cache_misses=misses,
+        warnings=tuple(warnings),
+    )
 
+
+def _enumerate_and_solve(
+    max_n: int,
+    mode: str,
+    known: dict[bytes, SweepRecord],
+    warnings: list[str],
+    cache: str | None,
+    jobs: int,
+) -> tuple[list[SweepRecord], int]:
+    """The sweep's records by enumeration, solving the classes the cache
+    lacks and appending them to it; also returns how many were solved.
+    A cache entry that disagrees with its graph is reported in
+    ``warnings`` and solved again."""
+    pairs = [pair for level in _levels(max_n, mode, True) for pair in level]
     todo: list[tuple[bytes, Multigraph]] = []
     for canon, g in pairs:
         hit = known.get(canon)
@@ -393,19 +510,7 @@ def sweep(
         if cache is not None:
             _append_cache(cache, fresh)
         known.update((r.canon, r) for r in fresh)
-
-    records = tuple(known[canon] for canon, _ in pairs)
-    graph_record_pairs = [(g, r) for (_, g), r in zip(pairs, records)]
-    results = tuple(_evaluate_check(name, graph_record_pairs) for name in checks)
-    return SweepSummary(
-        mode,
-        max_n,
-        records,
-        results,
-        cache_hits=len(pairs) - len(todo),
-        cache_misses=len(todo),
-        warnings=tuple(warnings),
-    )
+    return [known[canon] for canon, _ in pairs], len(todo)
 
 
 def summary_text(summary: SweepSummary) -> str:

@@ -11,7 +11,9 @@ grep one line per invocation; ``--json`` replaces the report with one
 machine-readable document.  Graph files may be edge lists or graph6;
 ``-`` reads standard input.  A leading integer line means edge list,
 anything else is treated as graph6 (graph6 bytes can never start with a
-digit), and a ``.g6`` suffix forces graph6.
+digit), and a ``.g6`` suffix forces graph6.  A file with a ``.canon``
+suffix holds one canonical form as a hex token, such as a sweep prints
+after ``counterexample``, so every reported graph can be re-run.
 
 The conjecture check in ``sweep`` is reported but never affects the exit
 code: a counterexample there would be a finding to publish, not a broken
@@ -28,7 +30,13 @@ import sys
 
 from . import atlas, discharge
 from .density import girth, mad
-from .multigraph import FormatError, Multigraph, parse_edge_list, parse_graph6
+from .multigraph import (
+    FormatError,
+    Multigraph,
+    decode_canonical,
+    parse_edge_list,
+    parse_graph6,
+)
 from .starcolor import (
     emit_coloring,
     find_violation,
@@ -55,6 +63,15 @@ def load_graph(path: str) -> Multigraph:
     text = _read_text(path)
     if path.endswith(".g6"):
         return parse_graph6(text)
+    if path.endswith(".canon"):
+        tokens = text.split()
+        if len(tokens) != 1:
+            raise FormatError(f"{path}: expected one canonical-form hex token")
+        try:
+            form = bytes.fromhex(tokens[0])
+        except ValueError:
+            raise FormatError(f"{path}: canonical form is not hex") from None
+        return decode_canonical(form)
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -424,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("chi", _cmd_chi, "exact star chromatic index with certificate")
-    p.add_argument("file", help="graph file (edge list or graph6), '-' for stdin")
+    p.add_argument("file", help="graph file (edge list, graph6 or .canon hex), '-' for stdin")
     p.add_argument("--max-k", type=int, default=None, help="search no further than this many colors")
     p.add_argument("--cert", default=None, help="write the certificate coloring here")
 

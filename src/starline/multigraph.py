@@ -267,6 +267,35 @@ def canonical_form(g: Multigraph) -> bytes:
     return bytes(out)
 
 
+def decode_canonical(form: bytes) -> Multigraph:
+    """The graph a canonical form spells, labelled in the form's order.
+
+    A form is ``[n]`` followed, for each vertex ``v = 1..n-1``, by its
+    ``v`` multiplicities against vertices ``0..v-1``, so
+    ``canonical_form(decode_canonical(f)) == f`` for every form ``f`` that
+    :func:`canonical_form` returns.  A byte string of the wrong length or
+    with a multiplicity above ``MAX_MULTIPLICITY`` raises
+    :class:`FormatError`.
+    """
+    if not form:
+        raise FormatError("empty canonical form")
+    n = form[0]
+    size = 1 + n * (n - 1) // 2
+    if len(form) != size:
+        raise FormatError(
+            f"canonical form for n = {n} must have {size} bytes, got {len(form)}"
+        )
+    if max(form[1:], default=0) > MAX_MULTIPLICITY:
+        raise FormatError(f"canonical form has a multiplicity above {MAX_MULTIPLICITY}")
+    edges: list[tuple[int, int]] = []
+    at = 1
+    for v in range(1, n):
+        for u in range(v):
+            edges += [(u, v)] * form[at]
+            at += 1
+    return build(n, edges)
+
+
 # ----------------------------------------------------------------------
 # edge-list text format
 # ----------------------------------------------------------------------

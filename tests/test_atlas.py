@@ -1,3 +1,4 @@
+import hashlib
 import os
 import zlib
 from collections import Counter
@@ -13,6 +14,7 @@ from starline import (
     atlas,
     build,
     canonical_form,
+    decode_canonical,
     enumerate_graphs,
     find_critical,
     load_cache,
@@ -130,6 +132,28 @@ def test_splits_with_parallel_edges():
     assert [_splits(nbrs, w) for w in range(g.n)] == [False, True, True, False]
     for w in range(g.n):
         assert _splits(nbrs, w) == (not g.delete_vertex(w).is_connected())
+
+
+@pytest.fixture(scope="module")
+def acceptance_levels():
+    """Each level's canonical forms at acceptance scale, per mode."""
+    return {
+        mode: [[form for form, _ in level] for level in _levels(max_n, mode, True)]
+        for mode, max_n in (("simple", 10), ("multigraph", 8))
+    }
+
+
+def test_decode_canonical_roundtrips_acceptance_forms(acceptance_levels):
+    for levels in acceptance_levels.values():
+        for forms in levels:
+            for form in forms:
+                assert canonical_form(decode_canonical(form)) == form
+
+
+def test_frozen_catalogue_rows_match_enumeration(acceptance_levels):
+    for mode, levels in acceptance_levels.items():
+        rows = [(len(forms), hashlib.sha256(b"".join(forms)).hexdigest()) for forms in levels]
+        assert rows == list(atlas._CATALOGUE[mode][: len(levels)])
 
 
 def test_enumeration_guards():
@@ -277,6 +301,121 @@ def test_missing_cache_is_empty():
     entries, warnings = load_cache("/nonexistent/path/results.cache")
     assert entries == {}
     assert warnings == []
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """Record each call to ``_levels`` that a sweep makes."""
+    calls = []
+    levels = atlas._levels
+
+    def spy(*args):
+        calls.append(args)
+        return levels(*args)
+
+    monkeypatch.setattr(atlas, "_levels", spy)
+    return calls
+
+
+def test_warm_sweep_reads_a_full_cache_without_enumerating(tmp_path, monkeypatch):
+    path = str(tmp_path / "results.cache")
+    sweep(6, "simple", cache=path)
+    sweep(5, "multigraph", cache=path)
+    # one file holds both modes; a smaller max_n is also served from it
+    runs = (("simple", 6), ("multigraph", 5), ("simple", 4))
+    uncached = {(mode, n): sweep(n, mode) for mode, n in runs}
+
+    def refuse(*args):
+        raise AssertionError("a warm sweep on a full cache enumerated")
+
+    monkeypatch.setattr(atlas, "_levels", refuse)
+    for (mode, n), reference in uncached.items():
+        warm = sweep(n, mode, cache=path)
+        assert (warm.cache_hits, warm.cache_misses, warm.warnings) == (warm.total, 0, ())
+        assert warm.records == reference.records
+        assert summary_text(warm) == summary_text(reference)
+
+
+def _rewrite_line(lines, index, change):
+    fields = lines[index].split()
+    change(fields)
+    body = " ".join(fields[:6])
+    lines[index] = f"{body} {zlib.crc32(body.encode()):08x}"
+
+
+def _delete_entry(lines):
+    del lines[5]
+
+
+def _swap_entry_for_another_class(lines):
+    # the last record becomes a valid-CRC record for a disconnected
+    # 5-vertex graph: a form of the level's length, but of no class in
+    # the connected catalogue
+    canon = canonical_form(build(5, [(0, 1), (2, 3)])).hex()
+
+    def forge(fields):
+        fields[:4] = [canon, "5", "2", "1"]
+
+    _rewrite_line(lines, len(lines) - 1, forge)
+
+
+def _add_entry_at_a_level(lines):
+    lines.append(lines[-1])
+    _swap_entry_for_another_class(lines)
+
+
+def _misstate_edge_count(lines):
+    def bump(fields):
+        fields[2] = str(int(fields[2]) + 1)
+
+    _rewrite_line(lines, 5, bump)
+
+
+@pytest.mark.parametrize(
+    "damage,hits,misses,warned",
+    [
+        (_delete_entry, 19, 1, 0),
+        (_add_entry_at_a_level, 20, 0, 0),
+        (_swap_entry_for_another_class, 19, 1, 0),
+        (_misstate_edge_count, 19, 1, 1),
+    ],
+)
+def test_incomplete_or_inconsistent_cache_falls_back_to_enumeration(
+    tmp_path, enumerations, damage, hits, misses, warned
+):
+    path = tmp_path / "results.cache"
+    cold = sweep(5, "simple", cache=str(path))
+    lines = path.read_text().splitlines()
+    damage(lines)
+    path.write_text("\n".join(lines) + "\n")
+    enumerations.clear()
+
+    warm = sweep(5, "simple", cache=str(path))
+    assert len(enumerations) == 1
+    assert (warm.cache_hits, warm.cache_misses, len(warm.warnings)) == (hits, misses, warned)
+    assert warm.records == cold.records
+    assert summary_text(warm) == summary_text(cold)
+
+
+def test_guards_hold_on_a_warm_cache(tmp_path):
+    path = str(tmp_path / "results.cache")
+    sweep(4, "simple", cache=path)
+    sweep(4, "multigraph", cache=path)
+    for max_n, mode in ((13, "simple"), (10, "multigraph"), (4, "sparse")):
+        with pytest.raises(ValueError):
+            sweep(max_n, mode, cache=path)
+
+
+def test_cache_append_after_a_cut_last_line(tmp_path):
+    path = tmp_path / "results.cache"
+    sweep(5, "simple", cache=str(path))
+    # a crash mid-append: the last line loses the end of its checksum
+    path.write_bytes(path.read_bytes()[:-5])
+    healed = sweep(5, "simple", cache=str(path))
+    assert (healed.cache_hits, healed.cache_misses) == (19, 1)
+    entries, warnings = load_cache(str(path))
+    assert len(entries) == 20
+    assert warnings == [f"{path}:21: checksum mismatch, skipped"]
 
 
 @pytest.fixture

@@ -319,6 +319,41 @@ def test_sweep_warns_on_corrupt_cache(run, tmp_path):
     assert last_line(out) == "RESULT: PASS (10 graphs)"
 
 
+def test_sweep_skips_a_non_ascii_cache_line(run, tmp_path):
+    cache = tmp_path / "sweep.cache"
+    run("sweep", "--max-n", "5", "--cache", str(cache))
+    with open(cache, "ab") as fh:
+        fh.write(b"\xff\xfe junk\n")
+    code, out, err = run("sweep", "--max-n", "5", "--cache", str(cache))
+    assert code == 0
+    assert err == f"warning: {cache}:22: not ASCII, skipped\n"
+    assert last_line(out) == "RESULT: PASS (20 graphs)"
+
+
+def test_printed_counterexample_reruns_through_chi(run, tmp_path, monkeypatch):
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+    monkeypatch.setitem(atlas._CHI_BOUNDS, "conj6", 4)
+    _, out, _ = run("sweep", "--max-n", "5", "--check", "conj6")
+    found = re.findall(r"counterexample ([0-9a-f]+): chi_s=(\d+) exceeds 4", out)
+    assert found
+    for hexform, chi in found:
+        path = tmp_path / "found.canon"
+        path.write_text(hexform + "\n")
+        code, out, _ = run("chi", str(path))
+        assert code == 0
+        assert last_line(out) == f"RESULT: {chi}"
+
+
+@pytest.mark.parametrize("text", ["zz", "0301", "0204", "0201 0201", ""])
+def test_malformed_canonical_input_is_a_usage_error(run, tmp_path, text):
+    path = tmp_path / "bad.canon"
+    path.write_text(text)
+    code, out, err = run("chi", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_sweep_json(run):
     _, out, _ = run("sweep", "--max-n", "4", "--json")
     payload = json.loads(out)

@@ -12,6 +12,7 @@ from starline import (
     FormatError,
     build,
     canonical_form,
+    decode_canonical,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -279,3 +280,20 @@ def test_canonical_agrees_with_exhaustive_label():
         same_canon = canonical_form(g1) == canonical_form(g2)
         assert same_canon == (oracles.min_perm_label(g1) == oracles.min_perm_label(g2))
         assert same_canon == oracles.isomorphic(g1, g2)
+
+
+@given(subcubic_multigraphs(max_n=7))
+def test_decode_canonical_spells_an_isomorphic_graph(g):
+    form = canonical_form(g)
+    h = decode_canonical(form)
+    assert (h.n, h.m) == (g.n, g.m)
+    assert canonical_form(h) == form
+
+
+@pytest.mark.parametrize(
+    "form",
+    [b"", b"\x03\x01", b"\x02\x01\x00", b"\x02\x04", b"\x03\x01\x00\xff"],
+)
+def test_decode_canonical_rejects_malformed(form):
+    with pytest.raises(FormatError):
+        decode_canonical(form)
