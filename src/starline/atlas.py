@@ -21,32 +21,33 @@ deletable vertex of a class C with the largest ``f``.  C - v is in the
 previous level, and attaching a new vertex to that representative as v
 is attached in C gives a child isomorphic to C whose new vertex attains
 the largest ``f``, so that child is kept.  The children that pass are
-canonized, and a dict keyed by canonical form removes the duplicates
-that remain (ties in ``f`` and equivalent attachments to one parent).
+canonized, and a set of canonical forms removes the duplicates that
+remain (ties in ``f`` and equivalent attachments to one parent).
 
-Each level is emitted sorted by canonical form, so the sequence of forms
-is a pure function of (max_n, mode, connected).  The representative of a
-class is the first accepted child with that form; its labelling is
-deterministic but is not part of that contract.
+A level is the sorted list of its canonical forms, and the form is the
+only identity a class has: the next level grows from each form's decoded
+graph (``decode_canonical``, vertices numbered in form order), and that
+decoded graph is the representative ``enumerate_graphs`` and
+``find_critical`` report.  So both the forms and the edge lists are a
+pure function of (max_n, mode, connected).
 
-Sweeps solve every enumerated graph for its exact density and star
+Sweeps solve every catalogue graph for its exact density and star
 chromatic index, verify each certificate against the definitional
 checker, and evaluate the requested claims.  Results keyed by canonical
 form are appended to a cache file whose lines carry their own checksums;
 a warm cache changes the work done but never the summary produced.
 
-A warm sweep skips enumeration when the cache provably holds the whole
-catalogue.  For every level (mode, n) the module freezes the number of
-classes and the SHA-256 of their sorted, concatenated canonical forms.
-When the cached forms of every level up to max_n match their row, and
-each record's (n, m, simple) is what its own form spells (``n =
-form[0]``, ``m = sum(form[1:])``, simple when no byte exceeds 1), the
-records in form order are the sweep; any mismatch falls back to
-enumeration and re-solves what is missing or inconsistent.  A forged or
-damaged cache therefore cannot change which classes a sweep reports
-(the solved values in a line with a valid checksum are still trusted).
-The checks read the records alone; ``cube-equiv`` decodes each cubic
-graph from its form (``decode_canonical``).
+A sweep's catalogue is a list of forms.  For every level (mode, n) the
+module freezes the number of classes and the SHA-256 of their sorted,
+concatenated forms; when the cached forms of every level up to max_n
+match their row, they are the catalogue and nothing is enumerated,
+otherwise enumeration supplies it.  Either way, each form the cache
+lacks is solved from its decoded graph.  A record holds only its form,
+density and chi; its n, m and simplicity are read off the form, and
+``load_cache`` skips any line whose stored fields disagree with its
+form.  A forged or damaged cache therefore cannot change which classes a
+sweep reports (the solved values in a line with a valid checksum are
+still trusted).
 """
 
 from __future__ import annotations
@@ -174,22 +175,23 @@ def _check_scale(max_n: int, mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     guard = len(_CATALOGUE[mode])
-    if not isinstance(max_n, int) or max_n > guard:
-        raise ValueError(f"max_n {max_n!r} exceeds the {mode} guard of {guard}")
+    if not isinstance(max_n, int) or not 0 <= max_n <= guard:
+        raise ValueError(
+            f"max_n must be between 0 and the {mode} guard of {guard}, got {max_n!r}"
+        )
 
 
-def _levels(
-    max_n: int, mode: str, connected: bool
-) -> Iterator[list[tuple[bytes, Multigraph]]]:
+def _levels(max_n: int, mode: str, connected: bool) -> Iterator[list[bytes]]:
+    """The sorted canonical forms of each level n = 1..max_n."""
     _check_scale(max_n, mode)
     if max_n < 1:
         return
-    single = build(1, [])
-    level = [(canonical_form(single), single)]
+    level = [canonical_form(build(1, []))]
     yield level
     for _ in range(2, max_n + 1):
-        grown: dict[bytes, Multigraph] = {}
-        for _, parent in level:
+        grown: set[bytes] = set()
+        for form in level:
+            parent = decode_canonical(form)
             x = parent.n
             base = [[u for u, _ in entries] for entries in parent.adjacency]
             variants = list(_attachments(parent, mode))
@@ -203,10 +205,8 @@ def _levels(
                 if not _last_may_be_deleted(nbrs, connected):
                     continue
                 child = build(x + 1, list(parent.edges) + [(v, x) for v in attach])
-                key = canonical_form(child)
-                if key not in grown:
-                    grown[key] = child
-        level = sorted(grown.items())
+                grown.add(canonical_form(child))
+        level = sorted(grown)
         yield level
 
 
@@ -220,11 +220,12 @@ def enumerate_graphs(
     Each level grows the previous one by a vertex, and a child is kept
     only if its new vertex passes the canonical-deletion test of the
     module docstring, so that most duplicates are never canonized.  The
-    classes and their order (by vertex count, then canonical form) are
-    fixed; the labelling of each representative is not."""
+    classes come by vertex count, then canonical form, and each is the
+    graph its form spells (``decode_canonical``): vertices are numbered
+    in form order."""
     for level in _levels(max_n, mode, connected):
-        for _, g in level:
-            yield g
+        for form in level:
+            yield decode_canonical(form)
 
 
 # ----------------------------------------------------------------------
@@ -233,14 +234,24 @@ def enumerate_graphs(
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """What a sweep knows about one graph; also one line of the cache."""
+    """What a sweep knows about one graph; also one line of the cache.
+    The vertex count, edge count and simplicity are read off the form."""
 
     canon: bytes
-    n: int
-    m: int
     density: Fraction
     chi: int
-    simple: bool
+
+    @property
+    def n(self) -> int:
+        return self.canon[0]
+
+    @property
+    def m(self) -> int:
+        return sum(self.canon[1:])
+
+    @property
+    def simple(self) -> bool:
+        return max(self.canon[1:], default=0) <= 1
 
 
 def _cache_line(entry: SweepRecord) -> str:
@@ -252,7 +263,9 @@ def _cache_line(entry: SweepRecord) -> str:
 
 
 def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
-    """Read a cache file, skipping (and reporting) anything corrupt."""
+    """Read a cache file, skipping (and reporting) anything corrupt: a
+    line whose ``n m simple`` fields, or whose form's length, disagree
+    with its canonical form is corrupt too."""
     entries: dict[bytes, SweepRecord] = {}
     warnings: list[str] = []
     if not os.path.exists(path):
@@ -281,28 +294,33 @@ def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
             continue
         try:
             canon = bytes.fromhex(fields[0])
-            n, m, simple_flag, chi = (
-                int(fields[1]),
-                int(fields[2]),
-                int(fields[3]),
-                int(fields[5]),
-            )
+            n, m, simple, chi = (int(fields[i]) for i in (1, 2, 3, 5))
             num, den = fields[4].split("/")
-            density = Fraction(int(num), int(den))
+            record = SweepRecord(canon, Fraction(int(num), int(den)), chi)
         except (ValueError, ZeroDivisionError):
             warnings.append(f"{path}:{lineno}: unparsable fields, skipped")
             continue
-        if simple_flag not in (0, 1):
-            warnings.append(f"{path}:{lineno}: bad simple flag, skipped")
+        spelled = (record.n, record.m, int(record.simple))
+        if (n, m, simple) != spelled or len(canon) != 1 + n * (n - 1) // 2:
+            warnings.append(
+                f"{path}:{lineno}: fields disagree with the canonical form, skipped"
+            )
             continue
-        entries[canon] = SweepRecord(canon, n, m, density, chi, bool(simple_flag))
+        entries[canon] = record
     return entries, warnings
 
 
 def _append_cache(path: str, new_entries: list[SweepRecord]) -> None:
+    """Append to a cache file, starting an empty one with the header; a
+    file whose first line (as ``load_cache`` reads it) is not the header
+    is not a cache and is left untouched."""
     with open(path, "ab+") as fh:
-        if fh.seek(0, os.SEEK_END) == 0:
+        fh.seek(0)
+        first = fh.readline().decode("ascii", "surrogateescape").splitlines()
+        if not first:
             lead = CACHE_HEADER + "\n"
+        elif first[0].strip() != CACHE_HEADER:
+            return
         else:
             # a last line cut off mid-write must not swallow the first new one
             fh.seek(-1, os.SEEK_END)
@@ -354,7 +372,7 @@ def _solve_graph(g: Multigraph) -> tuple[Fraction, int]:
 _CHI_BOUNDS = {"thm13a": 7, "conj6": 6}
 
 
-def _evaluate_check(name: str, records: list[SweepRecord]) -> CheckResult:
+def _evaluate_check(name: str, records: tuple[SweepRecord, ...]) -> CheckResult:
     bad: list[tuple[str, str]] = []
     checked = 0
     if name in _CHI_BOUNDS:
@@ -397,29 +415,22 @@ def _evaluate_check(name: str, records: list[SweepRecord]) -> CheckResult:
     return CheckResult(name, checked, tuple(bad))
 
 
-def _cached_records(
-    known: dict[bytes, SweepRecord], max_n: int, mode: str
-) -> list[SweepRecord] | None:
-    """The sweep's records, in catalogue order, read from the cache alone:
-    None unless the cached forms of every level 1..max_n are exactly the
-    frozen ``_CATALOGUE`` row (only simple entries count in simple mode)
-    and every such record's ``(n, m, simple)`` is what its form spells."""
+def _catalogue(known: dict[bytes, SweepRecord], max_n: int, mode: str) -> list[bytes]:
+    """The forms of every connected class with 1..max_n vertices, in
+    catalogue order: the cached forms when those of every level are
+    exactly its frozen ``_CATALOGUE`` row (only simple records count in
+    simple mode), otherwise the enumerated ones."""
     levels: dict[int, list[bytes]] = {}
     for canon, rec in known.items():
-        n = canon[0]
-        if len(canon) == 1 + n * (n - 1) // 2 and (rec.simple or mode != "simple"):
-            levels.setdefault(n, []).append(canon)
-    records: list[SweepRecord] = []
+        if rec.simple or mode != "simple":
+            levels.setdefault(rec.n, []).append(canon)
+    forms: list[bytes] = []
     for n, (count, digest) in enumerate(_CATALOGUE[mode][:max_n], start=1):
-        forms = sorted(levels.get(n, ()))
-        if len(forms) != count or hashlib.sha256(b"".join(forms)).hexdigest() != digest:
-            return None
-        records += (known[form] for form in forms)
-    for rec in records:
-        n, body = rec.canon[0], rec.canon[1:]
-        if (rec.n, rec.m, rec.simple) != (n, sum(body), max(body, default=0) <= 1):
-            return None
-    return records
+        cached = sorted(levels.get(n, ()))
+        if len(cached) != count or hashlib.sha256(b"".join(cached)).hexdigest() != digest:
+            return [form for level in _levels(max_n, mode, True) for form in level]
+        forms += cached
+    return forms
 
 
 def sweep(
@@ -432,15 +443,14 @@ def sweep(
     """Enumerate, solve (or recall), verify, and judge.
 
     When the cache holds every class of every level up to ``max_n``, as
-    the frozen per-level counts and digests in ``_CATALOGUE`` attest, and
-    each record agrees with its own canonical form, the sweep is read from
-    the cache with no enumeration.  Otherwise the catalogue is enumerated,
-    and graphs already present in the cache are not re-solved.  The others
-    are solved by at most ``jobs`` worker processes, and by no more than
-    there are CPUs or graphs to solve; with one, in this process.  New
-    results are appended in enumeration order through this single
-    process, so the cache grows deterministically and the summary is
-    independent of both the cache temperature and the worker count.
+    the frozen per-level counts and digests in ``_CATALOGUE`` attest, the
+    catalogue is read from the cache with no enumeration; otherwise it is
+    enumerated.  Each form the cache lacks is solved as its decoded graph
+    by at most ``jobs`` worker processes, and by no more than there are
+    CPUs or graphs to solve; with one, in this process.  New results are
+    appended in catalogue order through this single process, so the
+    cache grows deterministically and the summary is independent of both
+    the cache temperature and the worker count.
     """
     for name in checks:
         if name not in CHECKS:
@@ -452,51 +462,10 @@ def sweep(
     warnings: list[str] = []
     if cache is not None:
         known, warnings = load_cache(cache)
-    records = _cached_records(known, max_n, mode)
-    if records is not None:
-        misses = 0
-    else:
-        records, misses = _enumerate_and_solve(
-            max_n, mode, known, warnings, cache, jobs
-        )
-    results = tuple(_evaluate_check(name, records) for name in checks)
-    return SweepSummary(
-        mode,
-        max_n,
-        tuple(records),
-        results,
-        cache_hits=len(records) - misses,
-        cache_misses=misses,
-        warnings=tuple(warnings),
-    )
-
-
-def _enumerate_and_solve(
-    max_n: int,
-    mode: str,
-    known: dict[bytes, SweepRecord],
-    warnings: list[str],
-    cache: str | None,
-    jobs: int,
-) -> tuple[list[SweepRecord], int]:
-    """The sweep's records by enumeration, solving the classes the cache
-    lacks and appending them to it; also returns how many were solved.
-    A cache entry that disagrees with its graph is reported in
-    ``warnings`` and solved again."""
-    pairs = [pair for level in _levels(max_n, mode, True) for pair in level]
-    todo: list[tuple[bytes, Multigraph]] = []
-    for canon, g in pairs:
-        hit = known.get(canon)
-        if hit is not None and (hit.n, hit.m, hit.simple) == (g.n, g.m, g.is_simple):
-            continue
-        if hit is not None:
-            warnings.append(
-                f"cache entry for {canon.hex()} disagrees with the graph, resolving"
-            )
-        todo.append((canon, g))
-
+    forms = _catalogue(known, max_n, mode)
+    todo = [form for form in forms if form not in known]
     if todo:
-        graphs = [g for _, g in todo]
+        graphs = [decode_canonical(form) for form in todo]
         workers = min(jobs, len(graphs), os.cpu_count() or 1)
         if workers > 1:
             with _WorkerPool(workers) as pool:
@@ -504,13 +473,22 @@ def _enumerate_and_solve(
         else:
             solved = [_solve_graph(g) for g in graphs]
         fresh = [
-            SweepRecord(canon, g.n, g.m, density, chi, g.is_simple)
-            for (canon, g), (density, chi) in zip(todo, solved)
+            SweepRecord(form, density, chi)
+            for form, (density, chi) in zip(todo, solved)
         ]
         if cache is not None:
             _append_cache(cache, fresh)
         known.update((r.canon, r) for r in fresh)
-    return [known[canon] for canon, _ in pairs], len(todo)
+    records = tuple(known[form] for form in forms)
+    return SweepSummary(
+        mode,
+        max_n,
+        records,
+        tuple(_evaluate_check(name, records) for name in checks),
+        cache_hits=len(records) - len(todo),
+        cache_misses=len(todo),
+        warnings=tuple(warnings),
+    )
 
 
 def summary_text(summary: SweepSummary) -> str:
@@ -548,7 +526,8 @@ def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[Critical
     its structural predicate report and discharging audit attached."""
     findings: list[CriticalFinding] = []
     for level in _levels(max_n, mode, True):
-        for canon, g in level:
+        for canon in level:
+            g = decode_canonical(canon)
             report = is_star_critical(g, k)
             if not report.critical:
                 continue

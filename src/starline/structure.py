@@ -371,10 +371,6 @@ def lemma_audit(g: Multigraph) -> LemmaReport:
 
 # Vertices of the 3-cube are the 3-bit strings; u ~ v iff they differ in
 # exactly one bit.
-CUBE = build(
-    8, [(u, u ^ (1 << b)) for u in range(8) for b in range(3) if u < u ^ (1 << b)]
-)
-
 _CUBE_NBRS = tuple(tuple(sorted(v ^ (1 << b) for b in range(3))) for v in range(8))
 
 

@@ -108,8 +108,18 @@ def _levels_canonizing_every_child(max_n, mode, connected):
 @pytest.mark.parametrize("mode,max_n", [("simple", 8), ("multigraph", 7)])
 @pytest.mark.parametrize("connected", [True, False])
 def test_levels_match_canonizing_every_child(mode, max_n, connected):
-    forms = [[key for key, _ in level] for level in _levels(max_n, mode, connected)]
-    assert forms == _levels_canonizing_every_child(max_n, mode, connected)
+    assert list(_levels(max_n, mode, connected)) == _levels_canonizing_every_child(
+        max_n, mode, connected
+    )
+
+
+@pytest.mark.parametrize(
+    "max_n,mode,connected",
+    [(7, "simple", True), (6, "multigraph", True), (5, "simple", False)],
+)
+def test_enumerated_graphs_are_their_decoded_forms(max_n, mode, connected):
+    for g in enumerate_graphs(max_n, mode, connected):
+        assert decode_canonical(canonical_form(g)) == g
 
 
 @given(subcubic_multigraphs(max_n=10))
@@ -138,7 +148,7 @@ def test_splits_with_parallel_edges():
 def acceptance_levels():
     """Each level's canonical forms at acceptance scale, per mode."""
     return {
-        mode: [[form for form, _ in level] for level in _levels(max_n, mode, True)]
+        mode: list(_levels(max_n, mode, True))
         for mode, max_n in (("simple", 10), ("multigraph", 8))
     }
 
@@ -163,6 +173,9 @@ def test_enumeration_guards():
         list(enumerate_graphs(10, "multigraph"))
     with pytest.raises(ValueError):
         list(enumerate_graphs(4, "sparse"))
+    for max_n, mode in ((-3, "simple"), (-1, "multigraph")):
+        with pytest.raises(ValueError):
+            list(enumerate_graphs(max_n, mode))
     assert list(enumerate_graphs(0, "simple")) == []
 
 
@@ -280,13 +293,15 @@ def test_cache_hit_must_match_simple_flag(tmp_path):
 
     warm = sweep(5, "simple", cache=path)
     assert warm.warnings == (
-        f"cache entry for {fields[0]} disagrees with the graph, resolving",
+        f"{path}:6: fields disagree with the canonical form, skipped",
     )
     assert (warm.cache_hits, warm.cache_misses) == (19, 1)
     assert summary_text(warm) == summary_text(cold)
     assert warm.records == cold.records
+    # the re-solved record is appended; the bad line stays, skipped again
     healed = sweep(5, "simple", cache=path)
-    assert (healed.cache_hits, healed.cache_misses, healed.warnings) == (20, 0, ())
+    assert (healed.cache_hits, healed.cache_misses) == (20, 0)
+    assert healed.warnings == warm.warnings
 
 
 def test_cache_rejects_missing_header(tmp_path):
@@ -341,6 +356,31 @@ def _rewrite_line(lines, index, change):
     change(fields)
     body = " ".join(fields[:6])
     lines[index] = f"{body} {zlib.crc32(body.encode()):08x}"
+
+
+@pytest.mark.parametrize(
+    "index,change",
+    [
+        (1, lambda n: str(int(n) + 1)),
+        (2, lambda m: str(int(m) - 1)),
+        (3, lambda simple: str(1 - int(simple))),
+        (0, lambda form: form + "00"),
+    ],
+    ids=["n", "m", "simple", "form-length"],
+)
+def test_load_cache_skips_fields_that_disagree_with_the_form(tmp_path, index, change):
+    path = tmp_path / "results.cache"
+    sweep(4, "multigraph", cache=str(path))
+    lines = path.read_text().splitlines()
+
+    def damage(fields):
+        fields[index] = change(fields[index])
+
+    _rewrite_line(lines, 5, damage)
+    path.write_text("\n".join(lines) + "\n")
+    entries, warnings = load_cache(str(path))
+    assert len(entries) == 19
+    assert warnings == [f"{path}:6: fields disagree with the canonical form, skipped"]
 
 
 def _delete_entry(lines):
@@ -401,9 +441,27 @@ def test_guards_hold_on_a_warm_cache(tmp_path):
     path = str(tmp_path / "results.cache")
     sweep(4, "simple", cache=path)
     sweep(4, "multigraph", cache=path)
-    for max_n, mode in ((13, "simple"), (10, "multigraph"), (4, "sparse")):
+    for max_n, mode in (
+        (13, "simple"),
+        (10, "multigraph"),
+        (4, "sparse"),
+        (-5, "simple"),
+        (-1, "multigraph"),
+    ):
         with pytest.raises(ValueError):
             sweep(max_n, mode, cache=path)
+
+
+def test_a_file_without_the_header_is_never_written(tmp_path):
+    path = tmp_path / "notes.txt"
+    path.write_text("my notes\n")
+    for _ in range(2):
+        summary = sweep(4, "simple", cache=str(path))
+        assert path.read_bytes() == b"my notes\n"
+        assert summary.warnings == (
+            f"{path}: missing '{CACHE_HEADER}' header, ignoring file",
+        )
+        assert summary_text(summary) == summary_text(sweep(4, "simple"))
 
 
 def test_cache_append_after_a_cut_last_line(tmp_path):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ from starline import (
     star_chromatic_index,
 )
 from starline.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -277,6 +280,31 @@ def test_enumerate_lists_graphs(run):
     assert out.splitlines()[0].startswith("0: n=1 m=0")
 
 
+def test_enumerate_prints_each_class_as_its_decoded_form(run):
+    code, out, _ = run("enumerate", "--max-n", "3", "--mode", "multi")
+    assert code == 0
+    assert out == (
+        "0: n=1 m=0 edges=\n"
+        "1: n=2 m=1 edges=0-1\n"
+        "2: n=2 m=2 edges=0-1 0-1\n"
+        "3: n=2 m=3 edges=0-1 0-1 0-1\n"
+        "4: n=3 m=2 edges=0-1 0-2\n"
+        "5: n=3 m=3 edges=0-1 0-2 1-2\n"
+        "6: n=3 m=3 edges=0-1 0-1 0-2\n"
+        "7: n=3 m=4 edges=0-1 0-1 0-2 1-2\n"
+        "RESULT: 8 graphs\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["enumerate", "sweep", "critical"])
+@pytest.mark.parametrize("max_n", ["-1", "13"])
+def test_max_n_out_of_range_is_a_usage_error(run, command, max_n):
+    code, out, err = run(command, "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: max_n must be between 0 and")
+
+
 def test_enumerate_json(run):
     _, out, _ = run("enumerate", "--max-n", "3", "--mode", "multi", "--json")
     payload = json.loads(out)
@@ -467,6 +495,50 @@ def test_readme_documents_every_subcommand():
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert documented == list(sub.choices)
+
+
+def _readme_examples(subcommands):
+    """Each ``$ starline <subcommand> ...`` example in the README's shell
+    blocks, as its argument list and the output lines it documents."""
+    examples = []
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+    for block in blocks:
+        for example in re.split(r"^(?=\$ )", block, flags=re.M):
+            if not example.startswith("$ starline "):
+                continue
+            command, *shown = example.strip().splitlines()
+            argv = shlex.split(command)[2:]
+            if argv[0] in subcommands:
+                examples.append((argv, shown))
+    return examples
+
+
+ATLAS_EXAMPLES = _readme_examples(("enumerate", "sweep", "critical"))
+
+
+def test_readme_shows_each_atlas_subcommand():
+    assert sorted(argv[0] for argv, _ in ATLAS_EXAMPLES) == ["critical", "enumerate", "sweep"]
+
+
+@pytest.mark.parametrize("argv,shown", ATLAS_EXAMPLES, ids=[a[0] for a, _ in ATLAS_EXAMPLES])
+def test_readme_example_output(run, tmp_path, monkeypatch, argv, shown):
+    """The documented lines: the last one after ``| tail -1``, the ones
+    before ``...``, or else the whole output."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+    if "|" in argv:
+        assert argv[argv.index("|"):] == ["|", "tail", "-1"]
+        code, out, _ = run(*argv[: argv.index("|")])
+        printed = out.splitlines()[-1:]
+    elif "..." in shown:
+        shown = shown[: shown.index("...")]
+        code, out, _ = run(*argv)
+        printed = out.splitlines()[: len(shown)]
+    else:
+        code, out, _ = run(*argv)
+        printed = out.splitlines()
+    assert code == 0
+    assert printed == shown
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from starline import (
     strip_ones,
     verify_cover,
 )
-from starline.structure import BAD, CUBE, GOOD
+from starline.structure import BAD, GOOD
 from strategies import subcubic_multigraphs
 
 FIXTURE_D = build(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5), (5, 2), (5, 3)])
@@ -314,11 +314,3 @@ def test_verify_cover_rejects_wrong_map():
     broken[3], broken[5] = broken[5], broken[3]
     assert not verify_cover(zoo.cube(), broken)
     assert not verify_cover(zoo.cube(), {v: 0 for v in range(8)})
-
-
-def test_cube_constant_is_the_cube():
-    assert CUBE.degrees == (3,) * 8
-    assert CUBE.m == 12
-    from starline import girth
-
-    assert girth(CUBE) == 4
