@@ -58,7 +58,6 @@ import zlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from multiprocessing import Pool as _WorkerPool
 from typing import Iterator
 
 from .density import mad
@@ -431,6 +430,13 @@ def _catalogue(known: dict[bytes, SweepRecord], max_n: int, mode: str) -> list[b
             return [form for level in _levels(max_n, mode, True) for form in level]
         forms += cached
     return forms
+
+
+def _WorkerPool(processes: int):
+    """A process pool, imported only when a sweep opens workers."""
+    from multiprocessing import Pool
+
+    return Pool(processes)
 
 
 def sweep(

@@ -94,7 +94,11 @@ def _emit_json(payload: dict) -> None:
 
 def _cmd_chi(args) -> int:
     g = load_graph(args.file)
-    found = star_chromatic_index(g, max_k=args.max_k)
+    stats: dict[int, int] | None = {} if args.stats else None
+    found = star_chromatic_index(g, max_k=args.max_k, stats=stats)
+    for k, nodes in (stats or {}).items():
+        verdict = "feasible" if found is not None and k == found[0] else "infeasible"
+        print(f"stats k={k} {verdict} nodes={nodes}", file=sys.stderr)
     if found is None:
         if args.json:
             _emit_json({"n": g.n, "m": g.m, "chi_s": None, "max_k": args.max_k})
@@ -444,6 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="graph file (edge list, graph6 or .canon hex), '-' for stdin")
     p.add_argument("--max-k", type=int, default=None, help="search no further than this many colors")
     p.add_argument("--cert", default=None, help="write the certificate coloring here")
+    p.add_argument("--stats", action="store_true", help="print the color placements tried per k to stderr")
 
     p = add("verify", _cmd_verify, "check a coloring file against a graph")
     p.add_argument("file", help="graph file")

@@ -12,6 +12,14 @@ coloring exactly when every such component has at most three edges.  The
 solver prunes with that fact, walking the alternating component through
 the edge it just colored; the public verifier walks every such component
 of a finished (or partial) coloring.
+
+The solver colors each component's edges in one fixed order, computed
+once per graph and kept for every palette size: rooted at the vertex
+whose radius-two ball has the most independent cycles, and closing every
+cycle as soon as both its ends are reached (fail-first ordering, Haralick
+and Elliott 1980).  A proof that k colors fail then meets the densest
+part of the graph first, instead of re-proving it under every coloring of
+the edges far away from it.
 """
 
 from __future__ import annotations
@@ -204,30 +212,65 @@ def is_star_coloring(g: Multigraph, coloring: EdgeColoring) -> bool:
 # exact solver
 # ----------------------------------------------------------------------
 
-def _bfs_edge_order(g: Multigraph, component: tuple[int, ...]) -> list[int]:
-    """Edges of the component ordered so each one touches an earlier edge:
-    breadth-first from a maximum-degree vertex."""
-    root = max(component, key=lambda v: (g.degree(v), -v))
-    seen_v = {root}
+def _ball_cycle_rank(g: Multigraph, v: int) -> int:
+    """Cycle rank (edges - vertices + 1) of the subgraph induced by the
+    vertices within distance two of ``v``."""
+    adjacency = g.adjacency
+    ball = {v}
+    for u, _ in adjacency[v]:
+        ball.add(u)
+        ball.update(w for w, _ in adjacency[u])
+    ends = sum(1 for w in ball for u, _ in adjacency[w] if u in ball)
+    return ends // 2 - len(ball) + 1
+
+
+def _cycle_first_order(g: Multigraph, component: tuple[int, ...]) -> list[int]:
+    """Edges of the component ordered so each one touches an earlier edge,
+    closing cycles as early as possible.
+
+    The root is the vertex whose radius-two ball has the largest cycle
+    rank, then the largest degree, then the least index.  From there the
+    order is breadth-first, except that an edge whose ends are both
+    reached (it closes a cycle) is listed as soon as its second end is,
+    before any edge that reaches a new vertex.  Linear in the component's
+    size for bounded degree.
+    """
+    adjacency = g.adjacency
+    root = max(component, key=lambda v: (_ball_cycle_rank(g, v), len(adjacency[v]), -v))
+    reached = {root}
     listed: set[int] = set()
     order: list[int] = []
-    queue = [root]
+    frontier = [(eid, u) for u, eid in adjacency[root]]
     head = 0
-    while head < len(queue):
-        v = queue[head]
+    while head < len(frontier):
+        eid, v = frontier[head]
         head += 1
-        for u, eid in g.adjacency[v]:
-            if eid not in listed:
-                listed.add(eid)
-                order.append(eid)
-            if u not in seen_v:
-                seen_v.add(u)
-                queue.append(u)
+        if eid in listed:  # it closed a cycle when v was reached
+            continue
+        listed.add(eid)
+        order.append(eid)
+        reached.add(v)
+        for u, e in adjacency[v]:
+            if e in listed:
+                continue
+            if u in reached:
+                listed.add(e)
+                order.append(e)
+            else:
+                frontier.append((e, u))
     return order
 
 
-def _solve_component(g: Multigraph, order: list[int], k: int) -> dict[int, int] | None:
-    """Backtracking search for a star k-coloring of the edges in ``order``.
+def _edge_orders(g: Multigraph) -> list[list[int]]:
+    """The search order of every component that has edges."""
+    return [_cycle_first_order(g, c) for c in g.components() if len(c) > 1]
+
+
+def _solve_component(
+    g: Multigraph, order: list[int], k: int
+) -> tuple[dict[int, int] | None, int]:
+    """Backtracking search for a star k-coloring of the edges in ``order``,
+    and the number of color placements it tried.
 
     Uses a fresh color only when all smaller ones are in use (palette
     symmetry breaking), and after each assignment walks the two-color
@@ -266,6 +309,7 @@ def _solve_component(g: Multigraph, order: list[int], k: int) -> dict[int, int] 
     color_at = [0] * total  # color currently placed at each position, 0 = none
     high = [0] * (total + 1)  # largest color in use before each position
     pos = 0
+    tried = 0
     while 0 <= pos < total:
         eid = order[pos]
         u, w = endpoints[eid]
@@ -283,6 +327,7 @@ def _solve_component(g: Multigraph, order: list[int], k: int) -> dict[int, int] 
             bit = 1 << c
             if banned & bit:
                 continue
+            tried += 1
             vcolor[u][c] = eid
             vcolor[w][c] = eid
             usedmask[u] |= bit
@@ -310,27 +355,40 @@ def _solve_component(g: Multigraph, order: list[int], k: int) -> dict[int, int] 
             color_at[pos] = 0
             pos -= 1
     if pos < 0:
-        return None
-    return {order[i]: color_at[i] for i in range(total)}
+        return None, tried
+    return {order[i]: color_at[i] for i in range(total)}, tried
 
 
-def is_star_k_colorable(g: Multigraph, k: int) -> EdgeColoring | None:
+@dataclass(slots=True)
+class _Search:
+    """A graph's search state across palette sizes: each component's edge
+    order, computed once, and the color placements tried so far."""
+
+    orders: list[list[int]]
+    nodes: int = 0
+
+
+def is_star_k_colorable(
+    g: Multigraph, k: int, search: _Search | None = None
+) -> EdgeColoring | None:
     """A star k-edge-coloring certificate, or None when none exists.
 
     Components are solved independently; the palettes just overlap.
+    ``search`` is the state :func:`star_chromatic_index` carries from one
+    k to the next; without it the edge orders are derived here.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"palette size must be a nonnegative integer, got {k!r}")
+    if search is None:
+        search = _Search(_edge_orders(g))
     assignment: dict[int, int] = {}
-    for component in g.components():
-        order = _bfs_edge_order(g, component)
-        if not order:
-            continue
+    for order in search.orders:
         if k == 0:
             return None
         # symmetry breaking never opens more colors than there are edges,
         # so a larger palette changes neither the search nor the answer
-        part = _solve_component(g, order, min(k, len(order)))
+        part, tried = _solve_component(g, order, min(k, len(order)))
+        search.nodes += tried
         if part is None:
             return None
         assignment.update(part)
@@ -338,7 +396,7 @@ def is_star_k_colorable(g: Multigraph, k: int) -> EdgeColoring | None:
 
 
 def star_chromatic_index(
-    g: Multigraph, max_k: int | None = None
+    g: Multigraph, max_k: int | None = None, stats: dict[int, int] | None = None
 ) -> tuple[int, EdgeColoring] | None:
     """Exact star chromatic index with a verifying certificate.
 
@@ -346,7 +404,9 @@ def star_chromatic_index(
     seven colors for subcubic inputs (always enough) and at ``m`` colors
     otherwise (a rainbow coloring is always a star coloring).  With
     ``max_k`` the search tries no more than ``max_k`` colors and returns
-    None when the index is larger.
+    None when the index is larger.  Every k uses the same edge orders.
+    A ``stats`` dict receives, for each k tried, the number of color
+    placements the search tried.
     """
     if max_k is not None and (not isinstance(max_k, int) or max_k < 0):
         raise ValueError(f"max_k must be a nonnegative integer, got {max_k!r}")
@@ -354,8 +414,12 @@ def star_chromatic_index(
         return 0, EdgeColoring(0)
     cap = min(SUBCUBIC_COLOR_CAP, g.m) if g.is_subcubic else g.m
     top = cap if max_k is None else min(cap, max_k)
+    search = _Search(_edge_orders(g))
     for k in range(max(g.max_degree, 1), top + 1):
-        cert = is_star_k_colorable(g, k)
+        before = search.nodes
+        cert = is_star_k_colorable(g, k, search)
+        if stats is not None:
+            stats[k] = search.nodes - before
         if cert is not None:
             return k, cert
     if top < cap:

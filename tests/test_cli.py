@@ -77,7 +77,7 @@ def test_chi_rejected_certificate_is_an_internal_error(run, graph_file, tmp_path
     u = g.edges[0][0]
     colors[0] = colors[next(e for _, e in g.adjacency[u] if e != 0)]  # now improper
     broken = (chi, EdgeColoring(cert.k, colors))
-    monkeypatch.setattr(cli, "star_chromatic_index", lambda g, max_k: broken)
+    monkeypatch.setattr(cli, "star_chromatic_index", lambda g, max_k, stats: broken)
     cert_path = tmp_path / "cert.txt"
     code, out, err = run("chi", graph_file(g), "--cert", str(cert_path))
     assert code == 3
@@ -103,6 +103,25 @@ def test_chi_rejects_negative_max_k(run, graph_file):
     assert code == 2
     assert "RESULT" not in out
     assert "max_k" in err
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",), ("--max-k", "5")])
+def test_chi_stats_go_to_stderr_only(run, graph_file, extra):
+    path = graph_file(zoo.prism())
+    plain = run("chi", path, *extra)
+    first = run("chi", path, *extra, "--stats")
+    again = run("chi", path, *extra, "--stats")
+    assert first == again  # node counts repeat exactly
+    assert first[:2] == plain[:2]  # same exit code and stdout
+    assert plain[2] == ""
+    lines = first[2].splitlines()
+    # chi_s(prism) = 6: k = 3, 4, 5 fail, k = 6 (when allowed) succeeds
+    tried = [3, 4, 5] + ([] if "--max-k" in extra else [6])
+    assert [line.split()[1] for line in lines] == [f"k={k}" for k in tried]
+    verdicts = [line.split()[2] for line in lines]
+    assert verdicts == ["infeasible"] * 3 + ["feasible"] * (len(tried) - 3)
+    for line in lines:
+        assert re.fullmatch(r"stats k=\d+ (in)?feasible nodes=[1-9]\d*", line)
 
 
 def test_chi_json(run, graph_file):

@@ -20,6 +20,7 @@ from starline import (
     parse_coloring,
     star_chromatic_index,
 )
+from starline.starcolor import _edge_orders
 from strategies import subcubic_multigraphs
 
 
@@ -345,6 +346,90 @@ def test_chi_bounds(g):
 def test_long_path_no_recursion_blowup():
     assert star_chromatic_index(zoo.path(500))[0] == 3
     assert is_star_k_colorable(zoo.path(2000), 3) is not None
+
+
+@given(subcubic_multigraphs(max_n=10))
+def test_edge_order_is_connected_and_closes_cycles_first(g):
+    orders = _edge_orders(g)
+    components = [c for c in g.components() if len(c) > 1]
+    assert len(orders) == len(components)
+    for component, order in zip(components, orders):
+        members = set(component)
+        own = sorted(e for e, (u, _) in enumerate(g.edges) if u in members)
+        assert sorted(order) == own
+        reached = set(g.edges[order[0]])
+        for i, eid in enumerate(order[1:], start=1):
+            ends = set(g.edges[eid])
+            assert ends & reached  # touches an earlier edge
+            if not ends <= reached:
+                # a new vertex only once no unlisted edge closes a cycle
+                assert not any(set(g.edges[f]) <= reached for f in order[i:])
+            reached |= ends
+
+
+def test_edge_order_roots_at_the_densest_ball():
+    # a claw at vertex 0 hanging off the 4-cycle 4-5-6-7: 0 is the least
+    # vertex of degree 3, but the balls of the cycle's vertices hold a
+    # cycle, and 4 has the larger degree among them
+    g = build(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 4)])
+    order = _edge_orders(g)[0]
+    assert [g.edges[e] for e in order[:3]] == [(3, 4), (4, 5), (4, 7)]
+    assert g.edges[order[3]] == (0, 3)  # breadth-first once no cycle closes
+
+
+def test_stats_count_placements_per_k():
+    g = zoo.petersen()
+    first: dict[int, int] = {}
+    chi, _ = star_chromatic_index(g, stats=first)
+    again: dict[int, int] = {}
+    star_chromatic_index(g, stats=again)
+    assert chi == 5
+    assert list(first) == [3, 4, 5]
+    assert all(nodes > 0 for nodes in first.values())
+    assert first == again
+    bounded: dict[int, int] = {}
+    assert star_chromatic_index(g, max_k=4, stats=bounded) is None
+    assert bounded == {3: first[3], 4: first[4]}
+
+
+# Dense graphs with chi_s = 6 at n 14-19, drawn by the seeded generator of
+# the benchmark (perfbench/graphs.py, edge_list_texts(seed, 2016, 14, 20)
+# at (seed, index) (28, 257), (40, 90), (40, 136), (40, 1114), (43, 927);
+# edges sorted).
+# Proving that five colors fail took up to 40 s each when the search was
+# rooted at a maximum-degree vertex far from the obstruction.
+TAIL_GRAPHS = [
+    (16, [(0, 6), (0, 7), (0, 12), (1, 2), (1, 11), (1, 12), (2, 11), (2, 14),
+          (3, 10), (3, 10), (3, 11), (4, 8), (4, 9), (4, 15), (5, 9), (5, 12),
+          (5, 15), (7, 13), (7, 13), (8, 9), (8, 15), (10, 13)]),
+    (17, [(0, 1), (1, 8), (1, 9), (2, 5), (2, 12), (2, 14), (3, 9), (3, 16),
+          (4, 8), (5, 6), (5, 13), (6, 13), (6, 14), (7, 8), (7, 9), (7, 12),
+          (10, 15), (10, 16), (11, 15), (12, 16), (13, 14)]),
+    (19, [(0, 8), (0, 10), (0, 12), (1, 7), (1, 9), (1, 11), (2, 3), (2, 5),
+          (2, 10), (3, 15), (3, 18), (4, 8), (4, 10), (4, 12), (5, 7), (5, 16),
+          (6, 13), (6, 18), (7, 13), (8, 12), (9, 13), (9, 17), (11, 18),
+          (14, 15), (14, 16), (15, 16)]),
+    (18, [(0, 9), (0, 16), (0, 17), (1, 5), (1, 10), (1, 14), (2, 3), (2, 14),
+          (3, 4), (3, 8), (4, 6), (4, 11), (5, 11), (5, 12), (6, 7), (6, 12),
+          (7, 13), (8, 12), (8, 13), (9, 15), (9, 17), (10, 11), (10, 15),
+          (15, 16), (16, 17)]),
+    (15, [(0, 3), (0, 6), (0, 14), (1, 12), (2, 4), (2, 7), (2, 11), (4, 5),
+          (4, 9), (5, 7), (5, 9), (6, 11), (6, 14), (7, 9), (8, 10), (8, 11),
+          (10, 12), (10, 12), (13, 14)]),
+]
+
+
+@pytest.mark.parametrize("n,edges", TAIL_GRAPHS)
+def test_dense_tail_graphs_need_six_colors(n, edges):
+    g = build(n, edges)
+    start = time.process_time()
+    chi, cert = star_chromatic_index(g)
+    elapsed = time.process_time() - start
+    assert chi == 6
+    assert cert.is_total(g.m) and is_star_coloring(g, cert)
+    assert oracles.oracle_is_star(g, dict(cert.assignment))
+    assert max(cert.assignment.values()) == 6
+    assert elapsed < 5  # milliseconds on a 2-vCPU machine, against up to 40 s
 
 
 # ----------------------------------------------------------------------
