@@ -2,9 +2,9 @@
 
 Submodules: multigraph (data model, codecs, canonical forms), density
 (exact maximum average degree and girth), starcolor (verifier, exact
-solver, criticality), structure (vertex classes, lemma predicates, cube
-covers), discharge (charge ledger and audit), atlas (enumeration,
-sweeps, cache), cli (command-line front end).
+solver), structure (vertex classes, lemma predicates, cube covers),
+discharge (charge ledger and audit), atlas (enumeration, sweeps, cache,
+criticality hunt), cli (command-line front end).
 """
 
 from .density import girth, mad
@@ -26,7 +26,6 @@ from .starcolor import (
     emit_coloring,
     find_violation,
     is_star_coloring,
-    is_star_critical,
     is_star_k_colorable,
     parse_coloring,
     star_chromatic_index,
@@ -63,7 +62,6 @@ __all__ = [
     "is_star_coloring",
     "is_star_k_colorable",
     "star_chromatic_index",
-    "is_star_critical",
     "VertexProfile",
     "classify",
     "strip_ones",

@@ -34,8 +34,9 @@ pure function of (max_n, mode, connected).
 Sweeps solve every catalogue graph for its exact density and star
 chromatic index, verify each certificate against the definitional
 checker, and evaluate the requested claims.  Results keyed by canonical
-form are appended to a cache file whose lines carry their own checksums;
-a warm cache changes the work done but never the summary produced.
+form are kept in a cache file whose lines carry their own checksums, and
+which a sweep that learns something rewrites whole, in form order; a warm
+cache changes the work done but never the summary produced.
 
 A sweep's catalogue is a list of forms.  For every level (mode, n) the
 module freezes the number of classes and the SHA-256 of their sorted,
@@ -63,12 +64,7 @@ from typing import Iterator
 from .density import mad
 from .discharge import FIVE_COLOR_DENSITY, AuditReport, apply_rules, audit
 from .multigraph import Multigraph, build, canonical_form, decode_canonical
-from .starcolor import (
-    CriticalityReport,
-    is_star_coloring,
-    is_star_critical,
-    star_chromatic_index,
-)
+from .starcolor import is_star_coloring, is_star_k_colorable, star_chromatic_index
 from .structure import LemmaReport, covers_cube, lemma_audit, strip_ones, verify_cover
 
 MODES = ("simple", "multigraph")
@@ -309,23 +305,30 @@ def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
     return entries, warnings
 
 
-def _append_cache(path: str, new_entries: list[SweepRecord]) -> None:
-    """Append to a cache file, starting an empty one with the header; a
-    file whose first line (as ``load_cache`` reads it) is not the header
-    is not a cache and is left untouched."""
-    with open(path, "ab+") as fh:
-        fh.seek(0)
-        first = fh.readline().decode("ascii", "surrogateescape").splitlines()
-        if not first:
-            lead = CACHE_HEADER + "\n"
-        elif first[0].strip() != CACHE_HEADER:
+def _write_cache(path: str, records: dict[bytes, SweepRecord]) -> None:
+    """Replace a cache file by the header and one line per record, in form
+    order (which is catalogue order: a form starts with its vertex count).
+    The lines go to ``<path>.<pid>.tmp`` beside the file, which is then
+    renamed over it, so a reader sees the old file or the new one whole.
+    A non-empty file whose first line (as ``load_cache`` reads it) is not
+    the header is not a cache and is left untouched."""
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            first = fh.readline().decode("ascii", "surrogateescape").splitlines()
+        if first and first[0].strip() != CACHE_HEADER:
             return
-        else:
-            # a last line cut off mid-write must not swallow the first new one
-            fh.seek(-1, os.SEEK_END)
-            lead = "" if fh.read(1) == b"\n" else "\n"
-        text = lead + "".join(_cache_line(entry) + "\n" for entry in new_entries)
-        fh.write(text.encode("ascii"))
+    text = CACHE_HEADER + "\n" + "".join(
+        _cache_line(records[form]) + "\n" for form in sorted(records)
+    )
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as fh:
+            fh.write(text.encode("ascii"))
+        os.replace(temporary, path)
+    finally:
+        # left behind only when the write or the rename failed
+        if os.path.exists(temporary):
+            os.remove(temporary)
 
 
 # ----------------------------------------------------------------------
@@ -453,10 +456,13 @@ def sweep(
     catalogue is read from the cache with no enumeration; otherwise it is
     enumerated.  Each form the cache lacks is solved as its decoded graph
     by at most ``jobs`` worker processes, and by no more than there are
-    CPUs or graphs to solve; with one, in this process.  New results are
-    appended in catalogue order through this single process, so the
-    cache grows deterministically and the summary is independent of both
-    the cache temperature and the worker count.
+    CPUs or graphs to solve; with one, in this process.  The summary is
+    independent of both the cache temperature and the worker count.
+
+    When it solved a form or ``load_cache`` skipped a line, this process
+    rewrites the cache once, after solving (``_write_cache``): every
+    record it loaded, of either mode, and every one it solved, in form
+    order, without the skipped lines.  A clean warm sweep writes nothing.
     """
     for name in checks:
         if name not in CHECKS:
@@ -478,13 +484,12 @@ def sweep(
                 solved = list(pool.imap(_solve_graph, graphs, chunksize=8))
         else:
             solved = [_solve_graph(g) for g in graphs]
-        fresh = [
-            SweepRecord(form, density, chi)
+        known.update(
+            (form, SweepRecord(form, density, chi))
             for form, (density, chi) in zip(todo, solved)
-        ]
-        if cache is not None:
-            _append_cache(cache, fresh)
-        known.update((r.canon, r) for r in fresh)
+        )
+    if cache is not None and (todo or warnings):
+        _write_cache(cache, known)
     records = tuple(known[form] for form in forms)
     return SweepSummary(
         mode,
@@ -520,26 +525,34 @@ def summary_text(summary: SweepSummary) -> str:
 
 @dataclass(frozen=True)
 class CriticalFinding:
+    """A star k-critical graph: ``deletion_chi[v]`` is the star chromatic
+    index of ``graph - v``, at most k for every vertex v."""
+
     graph: Multigraph
     canon: bytes
-    criticality: CriticalityReport
+    deletion_chi: tuple[int, ...]
     lemmas: LemmaReport
     charge: AuditReport
 
 
 def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[CriticalFinding]:
-    """All enumerated connected graphs that are star k-critical, each with
-    its structural predicate report and discharging audit attached."""
+    """All enumerated connected graphs that are star k-critical (not star
+    k-colorable, while every single-vertex deletion is), each with its
+    structural predicate report and discharging audit attached."""
     findings: list[CriticalFinding] = []
     for level in _levels(max_n, mode, True):
         for canon in level:
             g = decode_canonical(canon)
-            report = is_star_critical(g, k)
-            if not report.critical:
+            if is_star_k_colorable(g, k) is not None:
+                continue
+            deletion_chi = tuple(
+                star_chromatic_index(g.delete_vertex(v))[0] for v in range(g.n)
+            )
+            if not all(c <= k for c in deletion_chi):
                 continue
             h, _ = strip_ones(g)
             ledger = apply_rules(h)
             findings.append(
-                CriticalFinding(g, canon, report, lemma_audit(g), audit(h, ledger))
+                CriticalFinding(g, canon, deletion_chi, lemma_audit(g), audit(h, ledger))
             )
     return findings

@@ -352,7 +352,7 @@ def _cmd_sweep(args) -> int:
         args.max_n,
         _atlas_mode(args.mode),
         checks=checks,
-        cache=args.cache,
+        cache=args.cache or None,
         jobs=args.jobs,
     )
     for warning in summary.warnings:
@@ -405,7 +405,7 @@ def _cmd_critical(args) -> int:
                     "m": f.graph.m,
                     "edges": [list(e) for e in f.graph.edges],
                     "canonical": f.canon.hex(),
-                    "deletion_chi": list(f.criticality.deletion_chi),
+                    "deletion_chi": list(f.deletion_chi),
                     "lemmas_pass": f.lemmas.all_pass,
                     "charge_nonnegative": f.charge.all_nonnegative,
                 }
@@ -417,7 +417,7 @@ def _cmd_critical(args) -> int:
         edges = " ".join(f"{u}-{v}" for u, v in f.graph.edges)
         print(f"critical: n={f.graph.n} m={f.graph.m} edges={edges}")
         print(f"  canonical: {f.canon.hex()}")
-        chis = " ".join(map(str, f.criticality.deletion_chi))
+        chis = " ".join(map(str, f.deletion_chi))
         print(f"  chi_s per deleted vertex: {chis}")
         lemma_verdict = "pass" if f.lemmas.all_pass else "FAIL"
         print(f"  lemma audit: {lemma_verdict}")

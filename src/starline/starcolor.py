@@ -1,4 +1,4 @@
-"""Star edge-coloring: verifier, exact solver, and criticality test.
+"""Star edge-coloring: verifier and exact solver.
 
 A star edge-coloring is a proper edge coloring in which no path or cycle
 on four edges is bicolored.  Paths and cycles are vertex-simple: a
@@ -428,27 +428,3 @@ def star_chromatic_index(
         f"no star coloring found up to {cap} colors; this contradicts the "
         "guaranteed bound and indicates a solver defect"
     )
-
-
-@dataclass(frozen=True)
-class CriticalityReport:
-    """Outcome of the vertex-deletion criticality test.
-
-    ``deletion_chi[v]`` is the star chromatic index of ``g - v``; it is
-    None when ``g`` itself is k-colorable, in which case no deletion needs
-    solving to settle the verdict.
-    """
-
-    critical: bool
-    deletion_chi: tuple[int, ...] | None
-
-
-def is_star_critical(g: Multigraph, k: int = 5) -> CriticalityReport:
-    """True iff ``g`` is not star k-colorable but every single-vertex
-    deletion is."""
-    if is_star_k_colorable(g, k) is not None:
-        return CriticalityReport(False, None)
-    deletion_chi = tuple(
-        star_chromatic_index(g.delete_vertex(v))[0] for v in range(g.n)
-    )
-    return CriticalityReport(all(c <= k for c in deletion_chi), deletion_chi)

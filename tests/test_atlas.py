@@ -298,10 +298,11 @@ def test_cache_hit_must_match_simple_flag(tmp_path):
     assert (warm.cache_hits, warm.cache_misses) == (19, 1)
     assert summary_text(warm) == summary_text(cold)
     assert warm.records == cold.records
-    # the re-solved record is appended; the bad line stays, skipped again
+    # the rewrite carries the re-solved record and drops the bad line
+    entries, warnings = load_cache(path)
+    assert (len(entries), warnings) == (20, [])
     healed = sweep(5, "simple", cache=path)
-    assert (healed.cache_hits, healed.cache_misses) == (20, 0)
-    assert healed.warnings == warm.warnings
+    assert (healed.cache_hits, healed.cache_misses, healed.warnings) == (20, 0, ())
 
 
 def test_cache_rejects_missing_header(tmp_path):
@@ -464,16 +465,69 @@ def test_a_file_without_the_header_is_never_written(tmp_path):
         assert summary_text(summary) == summary_text(sweep(4, "simple"))
 
 
-def test_cache_append_after_a_cut_last_line(tmp_path):
+def test_cache_rewrite_replaces_a_cut_last_line(tmp_path):
     path = tmp_path / "results.cache"
     sweep(5, "simple", cache=str(path))
-    # a crash mid-append: the last line loses the end of its checksum
-    path.write_bytes(path.read_bytes()[:-5])
+    cold = path.read_bytes()
+    # a crash mid-write: the last line loses the end of its checksum
+    path.write_bytes(cold[:-5])
     healed = sweep(5, "simple", cache=str(path))
     assert (healed.cache_hits, healed.cache_misses) == (19, 1)
-    entries, warnings = load_cache(str(path))
-    assert len(entries) == 20
-    assert warnings == [f"{path}:21: checksum mismatch, skipped"]
+    assert healed.warnings == (f"{path}:21: checksum mismatch, skipped",)
+    assert path.read_bytes() == cold
+
+
+def test_cache_rewrite_drops_a_line_that_names_no_form(tmp_path):
+    path = tmp_path / "results.cache"
+    sweep(5, "simple", cache=str(path))
+    cold = path.read_bytes()
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("planted bad cache line\n")
+    warm = sweep(5, "simple", cache=str(path))
+    assert (warm.cache_hits, warm.cache_misses) == (20, 0)
+    assert warm.warnings == (f"{path}:22: expected 7 fields, skipped",)
+    assert path.read_bytes() == cold
+    assert sweep(5, "simple", cache=str(path)).warnings == ()
+
+
+def test_cache_rewrite_keeps_the_records_of_both_modes(tmp_path):
+    path = tmp_path / "results.cache"
+    simple = {r.canon for r in sweep(5, "simple", cache=str(path)).records}
+    multi = {r.canon for r in sweep(4, "multigraph", cache=str(path)).records}
+    assert set(load_cache(str(path))[0]) == simple | multi
+    # a simple sweep that re-solves one form rewrites the shared file
+    lines = path.read_text().splitlines()
+    del lines[5]
+    path.write_text("\n".join(lines) + "\n")
+    assert sweep(5, "simple", cache=str(path)).cache_misses == 1
+    assert set(load_cache(str(path))[0]) == simple | multi
+    again = sweep(4, "multigraph", cache=str(path))
+    assert (again.cache_misses, again.warnings) == (0, ())
+
+
+def test_clean_warm_sweep_leaves_the_cache_untouched(tmp_path):
+    path = tmp_path / "results.cache"
+    sweep(5, "simple", cache=str(path))
+    os.utime(path, ns=(10**18, 10**18))
+    before = (path.read_bytes(), path.stat().st_mtime_ns)
+    sweep(5, "simple", cache=str(path))
+    sweep(3, "simple", cache=str(path))
+    assert (path.read_bytes(), path.stat().st_mtime_ns) == before
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, monkeypatch):
+    path = tmp_path / "results.cache"
+    sweep(4, "simple", cache=str(path))
+    cold = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        sweep(5, "simple", cache=str(path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["results.cache"]
+    assert path.read_bytes() == cold
 
 
 @pytest.fixture
@@ -546,7 +600,7 @@ def test_find_critical_simple_n6():
         canonical_form(zoo.prism()),
     }
     for f in findings:
-        assert f.criticality.critical
+        assert max(f.deletion_chi) <= 5
         assert f.lemmas.all_pass
         assert f.charge.all_nonnegative
         assert f.charge.conserved

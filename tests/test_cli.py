@@ -347,6 +347,22 @@ def test_sweep_uses_env_cache(run, tmp_path, monkeypatch):
     assert cache.exists()
 
 
+@pytest.mark.parametrize("spelling", ["env", "option"])
+def test_sweep_with_an_empty_cache_path_uses_no_cache(run, tmp_path, monkeypatch, spelling):
+    monkeypatch.delenv("STARLINE_CACHE", raising=False)
+    _, uncached, _ = run("sweep", "--max-n", "3")
+    monkeypatch.chdir(tmp_path)
+    if spelling == "env":
+        monkeypatch.setenv("STARLINE_CACHE", "")
+        argv = ("sweep", "--max-n", "3")
+    else:
+        argv = ("sweep", "--max-n", "3", "--cache", "")
+    code, out, err = run(*argv)
+    assert (code, out, err) == (0, uncached, "")
+    assert last_line(out) == "RESULT: PASS (4 graphs)"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_check_selection(run):
     code, out, _ = run("sweep", "--max-n", "4", "--check", "thm13a,main5")
     assert code == 0

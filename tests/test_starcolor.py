@@ -11,11 +11,12 @@ from starline import (
     FormatError,
     Violation,
     build,
+    canonical_form,
     emit_coloring,
     enumerate_graphs,
+    find_critical,
     find_violation,
     is_star_coloring,
-    is_star_critical,
     is_star_k_colorable,
     parse_coloring,
     star_chromatic_index,
@@ -436,30 +437,34 @@ def test_dense_tail_graphs_need_six_colors(n, edges):
 # criticality
 # ----------------------------------------------------------------------
 
+def critical_forms(max_n, k=5):
+    """The star k-critical simple graphs up to max_n vertices, each form
+    mapped to the star chromatic index of every vertex deletion."""
+    return {f.canon: f.deletion_chi for f in find_critical(max_n, "simple", k=k)}
+
+
 def test_k33_is_critical():
-    report = is_star_critical(zoo.complete_bipartite(3, 3))
-    assert report.critical
-    assert report.deletion_chi == (5,) * 6
+    assert critical_forms(6)[canonical_form(zoo.complete_bipartite(3, 3))] == (5,) * 6
 
 
 def test_colorable_graph_is_not_critical():
-    report = is_star_critical(zoo.cycle(4))
-    assert not report.critical
-    assert report.deletion_chi is None
+    assert canonical_form(zoo.cycle(4)) not in critical_forms(6)
 
 
 def test_uncolorable_but_not_critical():
-    report = is_star_critical(zoo.path(6), k=2)
-    assert not report.critical
-    assert max(report.deletion_chi) > 2
+    # P6 needs 3 colors, and so does the P5 left by deleting an end
+    assert canonical_form(zoo.path(6)) not in critical_forms(6, k=2)
 
 
 def test_path5_is_2_critical():
-    report = is_star_critical(zoo.path(5), k=2)
-    assert report.critical
-    assert report.deletion_chi == (2, 2, 1, 2, 2)
+    found = critical_forms(6, k=2)
+    expected = (zoo.cycle(3), zoo.cycle(4), zoo.star(3), zoo.path(5), zoo.cycle(5))
+    assert set(found) == {canonical_form(g) for g in expected}
+    # vertices in form order: deleting the middle one (last) leaves 2K2
+    assert found[canonical_form(zoo.path(5))] == (2, 2, 2, 2, 1)
 
 
 def test_other_known_critical_graphs():
-    assert is_star_critical(zoo.prism()).critical
-    assert is_star_critical(zoo.theta_graph()).critical
+    found = critical_forms(6)
+    assert canonical_form(zoo.prism()) in found
+    assert canonical_form(zoo.theta_graph()) in found
