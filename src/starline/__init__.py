@@ -1,13 +1,13 @@
 """Exact star edge-coloring toolkit for subcubic multigraphs.
 
 Submodules: multigraph (data model, codecs, canonical forms), density
-(exact maximum average degree and girth), starcolor (verifier, exact
-solver), structure (vertex classes, lemma predicates, cube covers),
-discharge (charge ledger and audit), atlas (enumeration, sweeps, cache,
-criticality hunt), cli (command-line front end).
+(exact maximum average degree), starcolor (verifier, exact solver),
+structure (vertex classes, lemma predicates, cube covers), discharge
+(charge ledger and audit), atlas (enumeration, sweeps, cache, criticality
+hunt), cli (command-line front end).
 """
 
-from .density import girth, mad
+from .density import mad
 from .discharge import apply_rules, audit, initial_charges
 from .multigraph import (
     FormatError,
@@ -53,7 +53,6 @@ __all__ = [
     "parse_graph6",
     "emit_graph6",
     "mad",
-    "girth",
     "EdgeColoring",
     "Violation",
     "parse_coloring",

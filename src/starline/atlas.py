@@ -64,7 +64,7 @@ from typing import Iterator
 from .density import mad
 from .discharge import FIVE_COLOR_DENSITY, AuditReport, apply_rules, audit
 from .multigraph import Multigraph, build, canonical_form, decode_canonical
-from .starcolor import is_star_coloring, is_star_k_colorable, star_chromatic_index
+from .starcolor import EdgeColoring, is_star_coloring, is_star_k_colorable, star_chromatic_index
 from .structure import LemmaReport, covers_cube, lemma_audit, strip_ones, verify_cover
 
 MODES = ("simple", "multigraph")
@@ -361,11 +361,18 @@ class SweepSummary:
         return len(self.records)
 
 
+def _check_certificate(g: Multigraph, cert: EdgeColoring) -> None:
+    """Raise unless a solver's certificate is a total star coloring of g,
+    as the checker behind ``verify`` judges it: a rejected certificate is
+    a defect of the solver, never an answer."""
+    if not (cert.is_total(g.m) and is_star_coloring(g, cert)):
+        raise RuntimeError("solver produced a certificate the verifier rejects")
+
+
 def _solve_graph(g: Multigraph) -> tuple[Fraction, int]:
     density, _ = mad(g)
     chi, cert = star_chromatic_index(g)
-    if not (cert.is_total(g.m) and is_star_coloring(g, cert)):
-        raise RuntimeError("solver produced a certificate the verifier rejects")
+    _check_certificate(g, cert)
     return density, chi
 
 
@@ -463,6 +470,8 @@ def sweep(
     rewrites the cache once, after solving (``_write_cache``): every
     record it loaded, of either mode, and every one it solved, in form
     order, without the skipped lines.  A clean warm sweep writes nothing.
+    A cache whose directory does not exist is a ``FileNotFoundError``
+    before anything is loaded or solved.
     """
     for name in checks:
         if name not in CHECKS:
@@ -473,6 +482,9 @@ def sweep(
     known: dict[bytes, SweepRecord] = {}
     warnings: list[str] = []
     if cache is not None:
+        folder = os.path.dirname(cache) or "."
+        if not os.path.isdir(folder):
+            raise FileNotFoundError(f"{cache}: directory {folder} does not exist")
         known, warnings = load_cache(cache)
     forms = _catalogue(known, max_n, mode)
     todo = [form for form in forms if form not in known]
@@ -538,21 +550,30 @@ class CriticalFinding:
 def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[CriticalFinding]:
     """All enumerated connected graphs that are star k-critical (not star
     k-colorable, while every single-vertex deletion is), each with its
-    structural predicate report and discharging audit attached."""
+    structural predicate report and discharging audit attached.  Every
+    coloring the verdict rests on is verified, as a sweep verifies its
+    certificates."""
     findings: list[CriticalFinding] = []
     for level in _levels(max_n, mode, True):
         for canon in level:
             g = decode_canonical(canon)
-            if is_star_k_colorable(g, k) is not None:
+            cert = is_star_k_colorable(g, k)
+            if cert is not None:
+                _check_certificate(g, cert)
                 continue
-            deletion_chi = tuple(
-                star_chromatic_index(g.delete_vertex(v))[0] for v in range(g.n)
-            )
+            deletion_chi = []
+            for v in range(g.n):
+                minor = g.delete_vertex(v)
+                chi, cert = star_chromatic_index(minor)
+                _check_certificate(minor, cert)
+                deletion_chi.append(chi)
             if not all(c <= k for c in deletion_chi):
                 continue
             h, _ = strip_ones(g)
             ledger = apply_rules(h)
             findings.append(
-                CriticalFinding(g, canon, deletion_chi, lemma_audit(g), audit(h, ledger))
+                CriticalFinding(
+                    g, canon, tuple(deletion_chi), lemma_audit(g), audit(h, ledger)
+                )
             )
     return findings

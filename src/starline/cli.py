@@ -1,6 +1,6 @@
 """Command-line interface.
 
-One executable, ten subcommands, four exit codes: 0 when the requested
+One executable, nine subcommands, four exit codes: 0 when the requested
 property holds (or the computation simply succeeded), 1 when a checked
 property fails (a violated coloring, a failed audit, a sweep
 counterexample), 2 for usage or input-format problems, 3 for an internal
@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from . import atlas, discharge
-from .density import girth, mad
+from .density import mad
 from .multigraph import (
     FormatError,
     Multigraph,
@@ -181,18 +180,6 @@ def _cmd_mad(args) -> int:
         print(f"mad = {_frac(density)}")
         print(f"witness: {' '.join(map(str, witness))}")
         print(f"RESULT: {_frac(density)}")
-    return PASS
-
-
-def _cmd_girth(args) -> int:
-    g = load_graph(args.file)
-    value = girth(g)
-    text = "inf" if value == math.inf else str(value)
-    if args.json:
-        _emit_json({"n": g.n, "m": g.m, "girth": None if value == math.inf else value})
-    else:
-        print(f"girth = {text}")
-        print(f"RESULT: {text}")
     return PASS
 
 
@@ -455,9 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("coloring", help="coloring file with 'edge-id color' lines")
 
     p = add("mad", _cmd_mad, "exact maximum average degree with witness")
-    p.add_argument("file", help="graph file")
-
-    p = add("girth", _cmd_girth, "shortest cycle length (parallel pair counts as 2)")
     p.add_argument("file", help="graph file")
 
     p = add("audit", _cmd_audit, "evaluate the structural predicates of minimal obstructions")

@@ -1,4 +1,4 @@
-"""Exact density invariants: maximum average degree and girth.
+"""Exact maximum average degree.
 
 Every verdict here is computed in exact rational arithmetic (stdlib
 ``fractions.Fraction``); no floating point enters any comparison.
@@ -13,7 +13,6 @@ independent subset scan that cross-checks it lives in the test suite
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .multigraph import Multigraph
@@ -151,31 +150,3 @@ def mad(g: Multigraph) -> tuple[Fraction, tuple[int, ...]]:
         witness = denser
         lam = Fraction(sum(u in denser and v in denser for u, v in g.edges), len(denser))
     return 2 * lam, tuple(sorted(witness))
-
-
-def girth(g: Multigraph) -> int | float:
-    """Length of a shortest cycle; a parallel pair is a 2-cycle; ``inf``
-    for forests."""
-    if not g.is_simple:
-        return 2
-    n = g.n
-    best: int | float = math.inf
-    for s in range(n):
-        dist = [-1] * n
-        parent = [-1] * n
-        dist[s] = 0
-        queue = [s]
-        for u in queue:
-            if 2 * dist[u] >= best - 1:
-                break
-            for w in g.neighbors(u):
-                if dist[w] < 0:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif w != parent[u]:
-                    # closed walk through s; never shorter than the girth
-                    cand = dist[u] + dist[w] + 1
-                    if cand < best:
-                        best = cand
-    return best

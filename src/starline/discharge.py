@@ -73,10 +73,8 @@ class AuditReport:
 
     conserved: bool
     total: Fraction
-    pools: tuple[Pool, ...]
     negative_vertices: tuple[tuple[int, Fraction], ...]
     negative_pools: tuple[Pool, ...]
-    flags: tuple[str, ...]
 
     @property
     def all_nonnegative(self) -> bool:
@@ -218,11 +216,4 @@ def audit(h: Multigraph, ledger: ChargeLedger) -> AuditReport:
         if v not in pooled and ledger.final[v] < 0
     )
     negative_pools = tuple(p for p in ledger.pools if p.total < 0)
-    return AuditReport(
-        conserved,
-        total,
-        ledger.pools,
-        negative_vertices,
-        negative_pools,
-        ledger.flags,
-    )
+    return AuditReport(conserved, total, negative_vertices, negative_pools)

@@ -11,8 +11,6 @@ from fractions import Fraction
 
 from starline import Multigraph, build
 
-INF = float("inf")
-
 
 # ----------------------------------------------------------------------
 # star coloring, from the definition
@@ -232,7 +230,7 @@ def oracle_cycle_checks(g: Multigraph) -> dict[str, tuple[tuple[int, ...], ...]]
 
 
 # ----------------------------------------------------------------------
-# density and girth, the slow way
+# density, the slow way
 # ----------------------------------------------------------------------
 
 BRUTE_MAX_N = 20
@@ -271,25 +269,3 @@ def mad_brute(g: Multigraph, *, max_n: int = BRUTE_MAX_N) -> tuple[Fraction, tup
         if count * best_size > best_count * size:
             best_count, best_size, best_mask = count, size, mask
     return Fraction(2 * best_count, best_size), tuple(v for v in range(n) if best_mask >> v & 1)
-
-
-def oracle_girth(g: Multigraph) -> int | float:
-    """Shortest cycle through each edge: delete it, find the distance
-    between its endpoints, add the edge back."""
-    best = INF
-    for eid in range(g.m):
-        u, v = g.edges[eid]
-        trimmed = g.delete_edge(eid)
-        dist = {u: 0}
-        frontier = [u]
-        while frontier and v not in dist:
-            nxt = []
-            for w in frontier:
-                for x, _ in trimmed.adjacency[w]:
-                    if x not in dist:
-                        dist[x] = dist[w] + 1
-                        nxt.append(x)
-            frontier = nxt
-        if v in dist:
-            best = min(best, dist[v] + 1)
-    return best

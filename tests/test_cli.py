@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -198,7 +200,7 @@ def test_verify_json(run, graph_file, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# mad / girth
+# mad
 # ----------------------------------------------------------------------
 
 def test_mad_exact_output(run, graph_file):
@@ -213,18 +215,6 @@ def test_mad_json(run, graph_file):
     assert code == 0
     payload = json.loads(out)
     assert payload["mad"] == "3/2"
-
-
-def test_girth_finite_and_infinite(run, graph_file):
-    code, out, _ = run("girth", graph_file(zoo.petersen()))
-    assert (code, last_line(out)) == (0, "RESULT: 5")
-    code, out, _ = run("girth", graph_file(zoo.path(6)))
-    assert (code, last_line(out)) == (0, "RESULT: inf")
-
-
-def test_girth_json_infinite_is_null(run, graph_file):
-    _, out, _ = run("girth", graph_file(zoo.path(6)), "--json")
-    assert json.loads(out)["girth"] is None
 
 
 # ----------------------------------------------------------------------
@@ -425,6 +415,21 @@ def test_sweep_json(run):
     assert {c["name"] for c in payload["checks"]} == {"thm13a", "conj6", "main5", "cube-equiv"}
 
 
+def test_sweep_cache_in_missing_directory_fails_before_solving(run, tmp_path, monkeypatch):
+    def unreachable(g):
+        raise AssertionError("solved before the cache directory was checked")
+
+    monkeypatch.setattr(atlas, "_solve_graph", unreachable)
+    cache = tmp_path / "missing" / "x.cache"
+    code, out, err = run("sweep", "--max-n", "5", "--cache", str(cache))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "x.cache" in err and ".tmp" not in err
+    assert not cache.parent.exists()
+
+
 def test_critical_reports_findings(run):
     code, out, _ = run("critical", "--max-n", "6")
     assert code == 0
@@ -516,6 +521,27 @@ def test_critical_failed_lemma_audit_fails(run, monkeypatch):
     assert last_line(out) == "RESULT: 1 critical graphs"
 
 
+def _monochromatic(g):
+    """One color on every edge: improper wherever two edges meet."""
+    return EdgeColoring(1, dict.fromkeys(range(g.m), 1))
+
+
+@pytest.mark.parametrize(
+    "name,solver",
+    [
+        ("star_chromatic_index", lambda g: (1, _monochromatic(g))),
+        ("is_star_k_colorable", lambda g, k: _monochromatic(g)),
+    ],
+    ids=["star_chromatic_index", "is_star_k_colorable"],
+)
+def test_critical_rejected_certificate_is_an_internal_error(run, monkeypatch, name, solver):
+    monkeypatch.setattr(atlas, name, solver)
+    code, out, err = run("critical", "--max-n", "4", "--k", "2")
+    assert code == 3
+    assert "RESULT" not in out
+    assert err == "internal error: RuntimeError: solver produced a certificate the verifier rejects\n"
+
+
 def test_critical_accepts_a_huge_palette(run):
     code, out, _ = run("critical", "--max-n", "5", "--k", "1000000000000")
     assert code == 0
@@ -530,6 +556,29 @@ def test_readme_documents_every_subcommand():
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert documented == list(sub.choices)
+
+
+def test_readme_library_example():
+    """Run the README's Python block; each bare expression's value is kept
+    in order, as the comment beside it documents."""
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    found, conserved, all_pass, failures, form, decoded = shown
+    assert (namespace["chi"], type(namespace["cert"])) == (5, EdgeColoring)
+    assert found is None
+    assert (namespace["value"], namespace["witness"]) == (Fraction(7, 3), (0, 1, 2, 3, 4, 5))
+    assert conserved is True
+    assert len(namespace["report"].checks) == 18
+    assert all_pass is False
+    assert failures == ["L-deg2(b)", "L-noBad"]
+    assert canonical_form(decoded) == form == canonical_form(namespace["g"])
 
 
 def _readme_examples(subcommands):
@@ -625,10 +674,10 @@ def test_module_entry_point(graph_file):
     src = os.path.dirname(os.path.dirname(starline.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "starline", "girth", graph_file(zoo.cycle(5))],
+        [sys.executable, "-m", "starline", "mad", graph_file(zoo.cycle(5))],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "RESULT: 5"
+    assert proc.stdout.splitlines()[-1] == "RESULT: 2/1"

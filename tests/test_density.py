@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -9,7 +8,7 @@ from hypothesis import given, strategies as st
 import oracles
 import zoo
 from oracles import mad_brute
-from starline import build, enumerate_graphs, girth, mad
+from starline import build, enumerate_graphs, mad
 from strategies import random_subcubic, subcubic_multigraphs
 
 
@@ -127,23 +126,3 @@ def test_mad_500_random_samples():
     for _ in range(500):
         g = random_subcubic(rng, rng.randint(1, 12))
         assert mad(g)[0] == mad_brute(g)[0]
-
-
-# ----------------------------------------------------------------------
-# girth
-# ----------------------------------------------------------------------
-
-def test_girth_examples():
-    assert girth(zoo.cycle(5)) == 5
-    assert girth(build(3, [(0, 1), (0, 1), (1, 2)])) == 2
-    assert girth(zoo.path(7)) == math.inf
-    assert girth(zoo.petersen()) == 5
-    assert girth(zoo.cube()) == 4
-    assert girth(zoo.complete(4)) == 3
-    assert girth(zoo.complete_bipartite(3, 3)) == 4
-    assert girth(build(1, [])) == math.inf
-
-
-@given(subcubic_multigraphs(max_n=8))
-def test_girth_matches_oracle(g):
-    assert girth(g) == oracles.oracle_girth(g)
