@@ -15,8 +15,6 @@ from .multigraph import (
     build,
     canonical_form,
     decode_canonical,
-    emit_edge_list,
-    emit_graph6,
     parse_edge_list,
     parse_graph6,
 )
@@ -49,9 +47,7 @@ __all__ = [
     "canonical_form",
     "decode_canonical",
     "parse_edge_list",
-    "emit_edge_list",
     "parse_graph6",
-    "emit_graph6",
     "mad",
     "EdgeColoring",
     "Violation",

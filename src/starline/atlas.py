@@ -1,35 +1,33 @@
 """Isomorph-free enumeration of subcubic multigraphs, theorem sweeps, and
 a persistent, human-auditable result cache.
 
-Enumeration grows graphs one vertex at a time: every connected graph on
-n vertices has a vertex whose removal keeps it connected, so attaching a
-new vertex by 1..3 edges to every smaller connected graph reaches every
-connected isomorphism class; with disconnected graphs allowed the new
-vertex may also arrive isolated, and then plain vertex deletion gives
-the induction.
+Enumeration grows connected graphs one vertex at a time: every
+connected graph on n vertices has a vertex whose removal keeps it
+connected, so attaching a new vertex by 1..3 edges to every smaller
+connected graph reaches every connected isomorphism class.  (The
+``chi_s`` and ``mad`` of a disconnected graph are the largest over its
+components, so no claim needs disconnected classes.)
 
 Most duplicate children are rejected before they are built, by McKay's
 canonical-deletion test (McKay 1998, "Isomorph-free exhaustive
 generation"): a child is kept only if its new vertex x could be the
 vertex deleted to reach the previous level.  With ``f(v) = (degree,
-sorted degrees of v's neighbours)``, a connected child is rejected when
-some non-cut vertex w has ``f(w) > f(x)`` (x itself is never a cut
-vertex, since deleting it leaves the connected parent); with
-disconnected graphs allowed every vertex may be deleted, so the child is
-rejected when any w has ``f(w) > f(x)``.  No class is lost: let v be a
-deletable vertex of a class C with the largest ``f``.  C - v is in the
-previous level, and attaching a new vertex to that representative as v
-is attached in C gives a child isomorphic to C whose new vertex attains
-the largest ``f``, so that child is kept.  The children that pass are
-canonized, and a set of canonical forms removes the duplicates that
-remain (ties in ``f`` and equivalent attachments to one parent).
+sorted degrees of v's neighbours)``, a child is rejected when some
+non-cut vertex w has ``f(w) > f(x)`` (x itself is never a cut vertex,
+since deleting it leaves the connected parent).  No class is lost: let
+v be a non-cut vertex of a class C with the largest ``f``.  C - v is in
+the previous level, and attaching a new vertex to that representative as
+v is attached in C gives a child isomorphic to C whose new vertex
+attains the largest ``f``, so that child is kept.  The children that
+pass are canonized, and a set of canonical forms removes the duplicates
+that remain (ties in ``f`` and equivalent attachments to one parent).
 
 A level is the sorted list of its canonical forms, and the form is the
 only identity a class has: the next level grows from each form's decoded
 graph (``decode_canonical``, vertices numbered in form order), and that
 decoded graph is the representative ``enumerate_graphs`` and
 ``find_critical`` report.  So both the forms and the edge lists are a
-pure function of (max_n, mode, connected).
+pure function of (max_n, mode).
 
 Sweeps solve every catalogue graph for its exact density and star
 chromatic index, verify each certificate against the definitional
@@ -141,14 +139,13 @@ def _splits(nbrs: list[list[int]], w: int) -> bool:
     return len(queue) < len(nbrs) - 1
 
 
-def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
+def _last_may_be_deleted(nbrs: list[list[int]]) -> bool:
     """Canonical-deletion test for a child whose new vertex x is the last.
 
     False when some vertex w with ``f(w) > f(x)``, where ``f(v) = (degree,
     sorted degrees of v's neighbours)``, could be deleted in place of x:
-    any w when disconnected graphs are allowed; otherwise a w that does
-    not split the connected child, asked of one w at a time (``_splits``)
-    until the first such w."""
+    a w that does not split the connected child, asked of one w at a time
+    (``_splits``) until the first such w."""
     deg = [len(entries) for entries in nbrs]
     x = len(nbrs) - 1
     dx = deg[x]
@@ -159,10 +156,6 @@ def _last_may_be_deleted(nbrs: list[list[int]], connected: bool) -> bool:
         if deg[w] > dx
         or (deg[w] == dx and sorted(deg[u] for u in nbrs[w]) > around_x)
     ]
-    if not larger:
-        return True
-    if not connected:
-        return False
     return all(_splits(nbrs, w) for w in larger)
 
 
@@ -176,7 +169,7 @@ def _check_scale(max_n: int, mode: str) -> None:
         )
 
 
-def _levels(max_n: int, mode: str, connected: bool) -> Iterator[list[bytes]]:
+def _levels(max_n: int, mode: str) -> Iterator[list[bytes]]:
     """The sorted canonical forms of each level n = 1..max_n."""
     _check_scale(max_n, mode)
     if max_n < 1:
@@ -189,15 +182,12 @@ def _levels(max_n: int, mode: str, connected: bool) -> Iterator[list[bytes]]:
             parent = decode_canonical(form)
             x = parent.n
             base = [[u for u, _ in entries] for entries in parent.adjacency]
-            variants = list(_attachments(parent, mode))
-            if not connected:
-                variants.append(())
-            for attach in variants:
+            for attach in _attachments(parent, mode):
                 nbrs = [list(entries) for entries in base]
                 nbrs.append(list(attach))
                 for v in attach:
                     nbrs[v].append(x)
-                if not _last_may_be_deleted(nbrs, connected):
+                if not _last_may_be_deleted(nbrs):
                     continue
                 child = build(x + 1, list(parent.edges) + [(v, x) for v in attach])
                 grown.add(canonical_form(child))
@@ -205,12 +195,10 @@ def _levels(max_n: int, mode: str, connected: bool) -> Iterator[list[bytes]]:
         yield level
 
 
-def enumerate_graphs(
-    max_n: int, mode: str = "simple", connected: bool = True
-) -> Iterator[Multigraph]:
-    """One representative per isomorphism class of loopless graphs with
-    maximum degree 3 and 1 <= n <= max_n, smallest first; multigraph mode
-    admits edge multiplicities up to 3.
+def enumerate_graphs(max_n: int, mode: str = "simple") -> Iterator[Multigraph]:
+    """One representative per isomorphism class of connected loopless
+    graphs with maximum degree 3 and 1 <= n <= max_n, smallest first;
+    multigraph mode admits edge multiplicities up to 3.
 
     Each level grows the previous one by a vertex, and a child is kept
     only if its new vertex passes the canonical-deletion test of the
@@ -218,7 +206,7 @@ def enumerate_graphs(
     classes come by vertex count, then canonical form, and each is the
     graph its form spells (``decode_canonical``): vertices are numbered
     in form order."""
-    for level in _levels(max_n, mode, connected):
+    for level in _levels(max_n, mode):
         for form in level:
             yield decode_canonical(form)
 
@@ -437,7 +425,7 @@ def _catalogue(known: dict[bytes, SweepRecord], max_n: int, mode: str) -> list[b
     for n, (count, digest) in enumerate(_CATALOGUE[mode][:max_n], start=1):
         cached = sorted(levels.get(n, ()))
         if len(cached) != count or hashlib.sha256(b"".join(cached)).hexdigest() != digest:
-            return [form for level in _levels(max_n, mode, True) for form in level]
+            return [form for level in _levels(max_n, mode) for form in level]
         forms += cached
     return forms
 
@@ -554,7 +542,7 @@ def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[Critical
     coloring the verdict rests on is verified, as a sweep verifies its
     certificates."""
     findings: list[CriticalFinding] = []
-    for level in _levels(max_n, mode, True):
+    for level in _levels(max_n, mode):
         for canon in level:
             g = decode_canonical(canon)
             cert = is_star_k_colorable(g, k)

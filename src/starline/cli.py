@@ -39,7 +39,6 @@ from .multigraph import (
 from .starcolor import (
     emit_coloring,
     find_violation,
-    is_star_coloring,
     parse_coloring,
     star_chromatic_index,
 )
@@ -107,8 +106,7 @@ def _cmd_chi(args) -> int:
             print(f"RESULT: >{args.max_k}")
         return FAIL
     chi, cert = found
-    if not (cert.is_total(g.m) and is_star_coloring(g, cert)):
-        raise RuntimeError("solver produced a certificate the verifier rejects")
+    atlas._check_certificate(g, cert)
     if args.cert:
         with open(args.cert, "w", encoding="ascii") as fh:
             fh.write(emit_coloring(cert))
@@ -310,11 +308,7 @@ def _atlas_mode(flag: str) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    graphs = list(
-        atlas.enumerate_graphs(
-            args.max_n, _atlas_mode(args.mode), connected=not args.disconnected
-        )
-    )
+    graphs = list(atlas.enumerate_graphs(args.max_n, _atlas_mode(args.mode)))
     if args.json:
         _emit_json(
             {
@@ -456,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("enumerate", _cmd_enumerate, "list subcubic graphs up to isomorphism")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--mode", choices=("simple", "multi"), default="simple")
-    p.add_argument("--disconnected", action="store_true", help="include disconnected graphs")
 
     p = add("sweep", _cmd_sweep, "solve every enumerated graph and check the claimed bounds")
     p.add_argument("--max-n", type=int, required=True)

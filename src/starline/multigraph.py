@@ -23,11 +23,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 MAX_MULTIPLICITY = 3
-CANONICAL_MAX_N = 12
 
 
 class FormatError(ValueError):
-    """Malformed textual graph input or unserializable graph."""
+    """Malformed textual graph input."""
 
 
 @dataclass(frozen=True)
@@ -132,12 +131,6 @@ class Multigraph:
         ]
         return build(self.n - 1, kept)
 
-    def delete_edge(self, edge_id: int) -> "Multigraph":
-        if not 0 <= edge_id < self.m:
-            raise ValueError(f"edge id {edge_id} out of range")
-        kept = [pair for i, pair in enumerate(self.edges) if i != edge_id]
-        return build(self.n, kept)
-
 
 def build(n: int, edge_list) -> Multigraph:
     """Assemble a :class:`Multigraph` from endpoint pairs.
@@ -174,7 +167,10 @@ def build(n: int, edge_list) -> Multigraph:
 # ----------------------------------------------------------------------
 
 def canonical_form(g: Multigraph) -> bytes:
-    """Isomorphism-invariant byte string for ``n <= CANONICAL_MAX_N``.
+    """Isomorphism-invariant byte string of a graph with at most 255
+    vertices: the first byte of the form is ``n``, so a larger graph
+    raises ``ValueError``.  This is the only size limit here; how far
+    the catalogue is enumerated is set by the mode guards in ``atlas``.
 
     Two graphs receive the same form exactly when some vertex bijection
     preserves edge multiplicities between them.  The form is the byte
@@ -190,8 +186,8 @@ def canonical_form(g: Multigraph) -> bytes:
     The serialization encodes the full matrix, so equality of forms is a
     certificate of isomorphism regardless of the partition used to prune.
     """
-    if g.n > CANONICAL_MAX_N:
-        raise ValueError(f"canonical form limited to n <= {CANONICAL_MAX_N}, got n = {g.n}")
+    if g.n > 255:
+        raise ValueError(f"canonical form needs n <= 255 to store n in one byte, got n = {g.n}")
     n = g.n
     if n == 0:
         return b"\x00"
@@ -338,12 +334,6 @@ def parse_edge_list(text: str) -> Multigraph:
         raise FormatError(str(exc)) from exc
 
 
-def emit_edge_list(g: Multigraph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 # ----------------------------------------------------------------------
 # graph6 (simple graphs only)
 # ----------------------------------------------------------------------
@@ -403,31 +393,3 @@ def parse_graph6(text: str) -> Multigraph:
             raise FormatError("graph6 padding bits are not zero")
         k += 1
     return build(n, pairs)
-
-
-def emit_graph6(g: Multigraph) -> str:
-    """Encode a simple graph as one graph6 line."""
-    if not g.is_simple:
-        raise FormatError("graph6 encodes simple graphs only (parallel edges present)")
-    n = g.n
-    if n <= 62:
-        head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126, (n >> 12) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
-    elif n <= 68719476735:
-        head = bytes([126, 126]) + bytes(((n >> s) & 63) + 63 for s in range(30, -1, -6))
-    else:
-        raise FormatError("graph too large for graph6")
-    present = set(g.edges)
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if (i, j) in present else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = bytes(
-        (bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-         | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63
-        for i in range(0, len(bits), 6)
-    )
-    return (head + body).decode("ascii")

@@ -122,12 +122,6 @@ class LemmaReport:
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def check(self, name: str) -> LemmaCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
     def failures(self) -> tuple[LemmaCheck, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
@@ -379,22 +373,23 @@ def covers_cube(g: Multigraph) -> dict[int, int] | None:
 
     The map sends edges to edges and restricts to a bijection between
     each vertex's neighborhood and its image's.  Only simple connected
-    cubic graphs can cover the cube; anything else returns None before
-    the search.  The first vertex is pinned to image 0, which loses no
-    generality because the cube is vertex-transitive.
+    cubic bipartite graphs can cover the cube (a cover maps an odd cycle
+    onto a closed walk of the same odd length, and the cube has none);
+    anything else returns None before the search.  The first vertex is
+    pinned to image 0, which loses no generality because the cube is
+    vertex-transitive.
     """
     if g.n == 0 or not g.is_simple or any(d != 3 for d in g.degrees):
         return None
     order = [0]
-    seen = {0}
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
+    side = {0: 0}
+    for v in order:
         for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
+            if u not in side:
+                side[u] = 1 - side[v]
                 order.append(u)
+            elif side[u] == side[v]:
+                return None  # odd cycle
     if len(order) < g.n:
         return None  # disconnected
     image = [-1] * g.n

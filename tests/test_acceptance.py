@@ -229,7 +229,7 @@ def test_c9_property_suites(sweeps):
         chi = star_chromatic_index(g)[0]
         assert star_chromatic_index(g.delete_vertex(rng.randrange(g.n)))[0] <= chi
         if g.m:
-            assert star_chromatic_index(g.delete_edge(rng.randrange(g.m)))[0] <= chi
+            assert star_chromatic_index(zoo.delete_edge(g, rng.randrange(g.m)))[0] <= chi
 
     for _ in range(1000):
         g = random_subcubic(rng, rng.randint(1, 8))

@@ -53,11 +53,6 @@ def test_counts_match_labeled_brute_force():
         assert multi[n] == oracles.brute_connected_classes(n, "multigraph")
 
 
-def test_disconnected_mode_counts():
-    counts = Counter(g.n for g in enumerate_graphs(3, "simple", connected=False))
-    assert dict(counts) == {1: 1, 2: 2, 3: 4}
-
-
 def test_enumerated_graphs_are_valid_and_distinct():
     seen = set()
     for g in enumerate_graphs(6, "multigraph"):
@@ -84,7 +79,7 @@ def test_known_graphs_are_enumerated():
         assert canonical_form(g) in forms
 
 
-def _levels_canonizing_every_child(max_n, mode, connected):
+def _levels_canonizing_every_child(max_n, mode):
     """Per-level canonical forms without the canonical-deletion filter:
     every child of every class is canonized and deduplicated."""
     cap = 1 if mode == "simple" else 3
@@ -94,7 +89,7 @@ def _levels_canonizing_every_child(max_n, mode, connected):
     for n in range(1, max_n):
         grown = {}
         for g in level.values():
-            for r in range(1 if connected else 0, 4):
+            for r in range(1, 4):
                 for attach in combinations_with_replacement(range(n), r):
                     counts = Counter(attach)
                     if all(c <= min(cap, 3 - g.degree(v)) for v, c in counts.items()):
@@ -106,19 +101,13 @@ def _levels_canonizing_every_child(max_n, mode, connected):
 
 
 @pytest.mark.parametrize("mode,max_n", [("simple", 8), ("multigraph", 7)])
-@pytest.mark.parametrize("connected", [True, False])
-def test_levels_match_canonizing_every_child(mode, max_n, connected):
-    assert list(_levels(max_n, mode, connected)) == _levels_canonizing_every_child(
-        max_n, mode, connected
-    )
+def test_levels_match_canonizing_every_child(mode, max_n):
+    assert list(_levels(max_n, mode)) == _levels_canonizing_every_child(max_n, mode)
 
 
-@pytest.mark.parametrize(
-    "max_n,mode,connected",
-    [(7, "simple", True), (6, "multigraph", True), (5, "simple", False)],
-)
-def test_enumerated_graphs_are_their_decoded_forms(max_n, mode, connected):
-    for g in enumerate_graphs(max_n, mode, connected):
+@pytest.mark.parametrize("max_n,mode", [(7, "simple"), (6, "multigraph")])
+def test_enumerated_graphs_are_their_decoded_forms(max_n, mode):
+    for g in enumerate_graphs(max_n, mode):
         assert decode_canonical(canonical_form(g)) == g
 
 
@@ -148,7 +137,7 @@ def test_splits_with_parallel_edges():
 def acceptance_levels():
     """Each level's canonical forms at acceptance scale, per mode."""
     return {
-        mode: list(_levels(max_n, mode, True))
+        mode: list(_levels(max_n, mode))
         for mode, max_n in (("simple", 10), ("multigraph", 8))
     }
 

@@ -19,7 +19,6 @@ from starline import (
     atlas,
     canonical_form,
     cli,
-    emit_edge_list,
     find_violation,
     parse_coloring,
     star_chromatic_index,
@@ -43,7 +42,7 @@ def run(capsys):
 def graph_file(tmp_path):
     def write(g, name="graph.txt"):
         path = tmp_path / name
-        path.write_text(emit_edge_list(g))
+        path.write_text(zoo.edge_list_text(g))
         return str(path)
 
     return write
@@ -137,7 +136,7 @@ def test_chi_json(run, graph_file):
 
 
 def test_chi_reads_stdin(run, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(zoo.cycle(4))))
+    monkeypatch.setattr("sys.stdin", io.StringIO(zoo.edge_list_text(zoo.cycle(4))))
     code, out, _ = run("chi", "-")
     assert code == 0
     assert last_line(out) == "RESULT: 3"
@@ -312,6 +311,13 @@ def test_max_n_out_of_range_is_a_usage_error(run, command, max_n):
     assert code == 2
     assert out == ""
     assert err.startswith("error: max_n must be between 0 and")
+
+
+def test_enumerate_has_no_disconnected_mode(run):
+    code, out, err = run("enumerate", "--max-n", "3", "--disconnected")
+    assert code == 2
+    assert out == ""
+    assert "--disconnected" in err
 
 
 def test_enumerate_json(run):
@@ -556,6 +562,17 @@ def test_readme_documents_every_subcommand():
         a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert documented == list(sub.choices)
+
+
+def test_readme_names_only_options_of_each_subcommand():
+    sections = re.split(r"^### ([\w-]+):.*$", README.read_text(), flags=re.M)
+    sub = next(
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    for name, text in zip(sections[1::2], sections[2::2]):
+        options = set(sub.choices[name]._option_string_actions)
+        named = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text.split("\n## ", 1)[0]))
+        assert named <= options, (name, sorted(named - options))
 
 
 def test_readme_library_example():

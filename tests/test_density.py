@@ -97,7 +97,7 @@ def test_mad_monotone_under_deletion(g, data):
     assert mad(g.delete_vertex(v))[0] <= mad(g)[0]
     if g.m:
         e = data.draw(st.integers(0, g.m - 1))
-        assert mad(g.delete_edge(e))[0] <= mad(g)[0]
+        assert mad(zoo.delete_edge(g, e))[0] <= mad(g)[0]
 
 
 @given(subcubic_multigraphs(min_n=1, max_n=10))

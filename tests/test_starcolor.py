@@ -334,7 +334,7 @@ def test_chi_monotone_under_deletion(g, data):
     assert star_chromatic_index(g.delete_vertex(v))[0] <= chi
     if g.m:
         e = data.draw(st.integers(0, g.m - 1))
-        assert star_chromatic_index(g.delete_edge(e))[0] <= chi
+        assert star_chromatic_index(zoo.delete_edge(g, e))[0] <= chi
 
 
 @given(subcubic_multigraphs(max_n=7))

@@ -14,6 +14,16 @@ def relabel(g: Multigraph, perm) -> Multigraph:
     return build(g.n, [(perm[a], perm[b]) for a, b in g.edges])
 
 
+def delete_edge(g: Multigraph, edge_id: int) -> Multigraph:
+    """``g`` without the edge ``edge_id``; later edge ids shift down by one."""
+    return build(g.n, g.edges[:edge_id] + g.edges[edge_id + 1:])
+
+
+def edge_list_text(g: Multigraph) -> str:
+    """``g`` in the edge-list text format that ``parse_edge_list`` reads."""
+    return "\n".join([str(g.n)] + [f"{u} {v}" for u, v in g.edges]) + "\n"
+
+
 def path(n: int) -> Multigraph:
     return build(n, [(i, i + 1) for i in range(n - 1)])
 
