@@ -248,8 +248,10 @@ def _cache_line(entry: SweepRecord) -> str:
 def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
     """Read a cache file, skipping (and reporting) anything corrupt: a
     line whose ``n m simple`` fields, or whose form's length, disagree
-    with its canonical form is corrupt too."""
+    with its canonical form is corrupt too, and so are all the lines of a
+    form whose records disagree (repeats of one record are not)."""
     entries: dict[bytes, SweepRecord] = {}
+    conflicted: set[bytes] = set()
     warnings: list[str] = []
     if not os.path.exists(path):
         return entries, warnings
@@ -289,7 +291,10 @@ def load_cache(path: str) -> tuple[dict[bytes, SweepRecord], list[str]]:
                 f"{path}:{lineno}: fields disagree with the canonical form, skipped"
             )
             continue
-        entries[canon] = record
+        if canon in conflicted or entries.setdefault(canon, record) != record:
+            warnings.append(f"{path}:{lineno}: another line disagrees on this form, all skipped")
+            conflicted.add(canon)
+            entries.pop(canon, None)
     return entries, warnings
 
 
@@ -540,7 +545,8 @@ def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[Critical
     k-colorable, while every single-vertex deletion is), each with its
     structural predicate report and discharging audit attached.  Every
     coloring the verdict rests on is verified, as a sweep verifies its
-    certificates."""
+    certificates.  A graph's deletions are solved in vertex order, up to
+    the first one that needs more than k colors."""
     findings: list[CriticalFinding] = []
     for level in _levels(max_n, mode):
         for canon in level:
@@ -554,8 +560,10 @@ def find_critical(max_n: int, mode: str = "simple", k: int = 5) -> list[Critical
                 minor = g.delete_vertex(v)
                 chi, cert = star_chromatic_index(minor)
                 _check_certificate(minor, cert)
+                if chi > k:
+                    break
                 deletion_chi.append(chi)
-            if not all(c <= k for c in deletion_chi):
+            if len(deletion_chi) < g.n:
                 continue
             h, _ = strip_ones(g)
             ledger = apply_rules(h)

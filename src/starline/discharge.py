@@ -83,8 +83,6 @@ class AuditReport:
 
 def initial_charges(h: Multigraph) -> tuple[Fraction, ...]:
     """Charge d(v) - 12/5 per vertex; the sum is 2e - (12/5)n exactly."""
-    if h.max_degree > 3:
-        raise ValueError(f"maximum degree {h.max_degree} exceeds 3")
     return tuple(Fraction(d) - FIVE_COLOR_DENSITY for d in h.degrees)
 
 

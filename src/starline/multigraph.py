@@ -3,7 +3,9 @@
 This is the data model for the whole package.  Vertices are the integers
 ``0..n-1``.  Every edge owns a dense id ``0..m-1`` given by its position in
 the edge tuple, so parallel edges are distinct entries sharing an endpoint
-pair and a coloring can address each copy separately.  Loops are rejected.
+pair and a coloring can address each copy separately.  Every graph is
+subcubic: loops and vertices of degree above 3 are rejected when the
+graph is built, so no other module re-checks the class.
 
 Graphs are immutable: every operation that changes a graph returns a new
 one.  That makes instances safe to share across worker processes and usable
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-MAX_MULTIPLICITY = 3
+MAX_DEGREE = 3
 
 
 class FormatError(ValueError):
@@ -87,10 +89,6 @@ class Multigraph:
     def is_simple(self) -> bool:
         return len(set(self.edges)) == self.m
 
-    @property
-    def is_subcubic(self) -> bool:
-        return self.max_degree <= 3
-
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
@@ -115,33 +113,36 @@ class Multigraph:
             out.append(tuple(sorted(comp)))
         return tuple(out)
 
+    def induced(self, vertices) -> "Multigraph":
+        """The subgraph induced by the distinct ``vertices``, with
+        ``vertices[i]`` renumbered ``i``; kept edges keep their relative
+        order."""
+        new_of_old = {old: i for i, old in enumerate(vertices)}
+        kept = [
+            (new_of_old[a], new_of_old[b])
+            for a, b in self.edges
+            if a in new_of_old and b in new_of_old
+        ]
+        return build(len(new_of_old), kept)
+
     def delete_vertex(self, v: int) -> "Multigraph":
         """Remove ``v`` and its incident edges; survivors are re-indexed
         order-preservingly (old index order)."""
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
-        new_of_old = {}
-        for old in range(self.n):
-            if old != v:
-                new_of_old[old] = len(new_of_old)
-        kept = [
-            (new_of_old[a], new_of_old[b])
-            for a, b in self.edges
-            if a != v and b != v
-        ]
-        return build(self.n - 1, kept)
+        return self.induced([u for u in range(self.n) if u != v])
 
 
 def build(n: int, edge_list) -> Multigraph:
     """Assemble a :class:`Multigraph` from endpoint pairs.
 
-    Endpoint pairs are normalized to ``(min, max)``.  Pairwise multiplicity
-    above ``MAX_MULTIPLICITY`` and loops are rejected.
+    Endpoint pairs are normalized to ``(min, max)``.  Loops and vertices
+    of degree above ``MAX_DEGREE`` are rejected, which also caps every
+    pair's multiplicity at 3.
     """
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"vertex count must be a nonnegative integer, got {n!r}")
     norm: list[tuple[int, int]] = []
-    counts: dict[tuple[int, int], int] = {}
     for pair in edge_list:
         u, v = pair
         if not (isinstance(u, int) and isinstance(v, int)):
@@ -150,15 +151,14 @@ def build(n: int, edge_list) -> Multigraph:
             raise ValueError(f"edge {pair!r} out of range for {n} vertices")
         if u == v:
             raise ValueError(f"loop at vertex {u} is not allowed")
-        key = (u, v) if u < v else (v, u)
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > MAX_MULTIPLICITY:
-            raise ValueError(f"multiplicity of {key} exceeds {MAX_MULTIPLICITY}")
-        norm.append(key)
+        norm.append((u, v) if u < v else (v, u))
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for eid, (u, v) in enumerate(norm):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
+    for v, entries in enumerate(adj):
+        if len(entries) > MAX_DEGREE:
+            raise ValueError(f"vertex {v} has degree {len(entries)}; graphs must be subcubic")
     return Multigraph(n, tuple(norm), tuple(tuple(a) for a in adj))
 
 
@@ -270,8 +270,8 @@ def decode_canonical(form: bytes) -> Multigraph:
     ``v`` multiplicities against vertices ``0..v-1``, so
     ``canonical_form(decode_canonical(f)) == f`` for every form ``f`` that
     :func:`canonical_form` returns.  A byte string of the wrong length or
-    with a multiplicity above ``MAX_MULTIPLICITY`` raises
-    :class:`FormatError`.
+    with a multiplicity above ``MAX_DEGREE`` raises :class:`FormatError`;
+    one that spells a vertex of larger degree is refused by :func:`build`.
     """
     if not form:
         raise FormatError("empty canonical form")
@@ -281,8 +281,8 @@ def decode_canonical(form: bytes) -> Multigraph:
         raise FormatError(
             f"canonical form for n = {n} must have {size} bytes, got {len(form)}"
         )
-    if max(form[1:], default=0) > MAX_MULTIPLICITY:
-        raise FormatError(f"canonical form has a multiplicity above {MAX_MULTIPLICITY}")
+    if max(form[1:], default=0) > MAX_DEGREE:
+        raise FormatError(f"canonical form has a multiplicity above {MAX_DEGREE}")
     edges: list[tuple[int, int]] = []
     at = 1
     for v in range(1, n):

@@ -233,7 +233,7 @@ def _cycle_first_order(g: Multigraph, component: tuple[int, ...]) -> list[int]:
     order is breadth-first, except that an edge whose ends are both
     reached (it closes a cycle) is listed as soon as its second end is,
     before any edge that reaches a new vertex.  Linear in the component's
-    size for bounded degree.
+    size, since every degree is at most 3.
     """
     adjacency = g.adjacency
     root = max(component, key=lambda v: (_ball_cycle_rank(g, v), len(adjacency[v]), -v))
@@ -401,8 +401,8 @@ def star_chromatic_index(
     """Exact star chromatic index with a verifying certificate.
 
     Iterative deepening from ``max(Delta, 1)``; the search is capped at
-    seven colors for subcubic inputs (always enough) and at ``m`` colors
-    otherwise (a rainbow coloring is always a star coloring).  With
+    seven colors, which every subcubic multigraph admits, or at ``m``
+    when that is smaller (a rainbow coloring is a star coloring).  With
     ``max_k`` the search tries no more than ``max_k`` colors and returns
     None when the index is larger.  Every k uses the same edge orders.
     A ``stats`` dict receives, for each k tried, the number of color
@@ -412,7 +412,7 @@ def star_chromatic_index(
         raise ValueError(f"max_k must be a nonnegative integer, got {max_k!r}")
     if g.m == 0:
         return 0, EdgeColoring(0)
-    cap = min(SUBCUBIC_COLOR_CAP, g.m) if g.is_subcubic else g.m
+    cap = min(SUBCUBIC_COLOR_CAP, g.m)
     top = cap if max_k is None else min(cap, max_k)
     search = _Search(_edge_orders(g))
     for k in range(max(g.max_degree, 1), top + 1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .multigraph import Multigraph, build
+from .multigraph import Multigraph
 
 GOOD = "good"
 BAD = "bad"
@@ -51,8 +51,6 @@ class VertexProfile:
 
 def classify(g: Multigraph) -> tuple[VertexProfile, ...]:
     """Profile every vertex of a subcubic multigraph."""
-    if g.max_degree > 3:
-        raise ValueError(f"maximum degree {g.max_degree} exceeds 3")
     deg = g.degrees
     status: list[str | None] = [None] * g.n
     for v in range(g.n):
@@ -78,14 +76,8 @@ def strip_ones(g: Multigraph) -> tuple[Multigraph, tuple[int, ...]]:
     input's: ``vmap[h_vertex] = g_vertex``.
     """
     deg = g.degrees
-    keep = [v for v in range(g.n) if deg[v] != 1]
-    new_of_old = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (new_of_old[u], new_of_old[v])
-        for u, v in g.edges
-        if u in new_of_old and v in new_of_old
-    ]
-    return build(len(keep), edges), tuple(keep)
+    keep = tuple(v for v in range(g.n) if deg[v] != 1)
+    return g.induced(keep), keep
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +341,6 @@ def _pruned_graph_checks(h: Multigraph) -> list[LemmaCheck]:
 def lemma_audit(g: Multigraph) -> LemmaReport:
     """Evaluate every structural predicate on g, translating witnesses of
     pruned-graph predicates back to g's vertex labels."""
-    if g.max_degree > 3:
-        raise ValueError(f"maximum degree {g.max_degree} exceeds 3")
     checks = _pendant_vertex_checks(g) + _two_vertex_checks(g)
     h, vmap = strip_ones(g)
     for c in _pruned_graph_checks(h):

@@ -56,7 +56,7 @@ def test_counts_match_labeled_brute_force():
 def test_enumerated_graphs_are_valid_and_distinct():
     seen = set()
     for g in enumerate_graphs(6, "multigraph"):
-        assert g.is_subcubic
+        assert g.max_degree <= 3
         assert g.is_connected()
         form = canonical_form(g)
         assert form not in seen
@@ -125,8 +125,8 @@ def test_splits_matches_vertex_deletion(g):
 
 
 def test_splits_with_parallel_edges():
-    # a triple edge 0=1, a double edge 1=2 and a pendant 3 at 2
-    g = build(4, [(0, 1), (0, 1), (0, 1), (1, 2), (1, 2), (2, 3)])
+    # a double edge 0=1, a single edge 1-2 and a double edge 2=3
+    g = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (2, 3)])
     nbrs = [[u for u, _ in entries] for entries in g.adjacency]
     assert [_splits(nbrs, w) for w in range(g.n)] == [False, True, True, False]
     for w in range(g.n):
@@ -300,6 +300,46 @@ def test_cache_rejects_missing_header(tmp_path):
     entries, warnings = load_cache(str(path))
     assert entries == {}
     assert warnings
+
+
+# the 4-vertex path's form with a forged chi of 7 (its true chi is 3)
+FORGED_PATH_LINE = "04010100000100 4 3 1 3/2 7"
+
+
+def _with_checksum(body):
+    return f"{body} {zlib.crc32(body.encode()):08x}"
+
+
+def test_cache_lines_that_disagree_are_all_skipped(tmp_path):
+    path = tmp_path / "results.cache"
+    cold = sweep(6, "simple", cache=str(path))
+    form = FORGED_PATH_LINE.split()[0]
+    genuine = [line for line in path.read_text().splitlines() if line.startswith(form)]
+    assert len(genuine) == 1
+    with open(path, "a") as fh:
+        fh.write(_with_checksum(FORGED_PATH_LINE) + "\n")
+    lineno = cold.total + 2
+
+    entries, warnings = load_cache(str(path))
+    assert bytes.fromhex(form) not in entries
+    assert len(entries) == cold.total - 1
+    assert warnings == [f"{path}:{lineno}: another line disagrees on this form, all skipped"]
+    healed = sweep(6, "simple", cache=str(path))
+    assert (healed.cache_hits, healed.cache_misses) == (cold.total - 1, 1)
+    assert summary_text(healed) == summary_text(cold)
+    assert [line for line in path.read_text().splitlines() if line.startswith(form)] == genuine
+
+
+def test_cache_lines_that_repeat_one_record_agree(tmp_path):
+    path = tmp_path / "results.cache"
+    cold = sweep(5, "simple", cache=str(path))
+    lines = path.read_text().splitlines()
+    with open(path, "a") as fh:
+        fh.write(lines[3] + "\n" + lines[3] + "\n")
+    entries, warnings = load_cache(str(path))
+    assert (len(entries), warnings) == (cold.total, [])
+    warm = sweep(5, "simple", cache=str(path))
+    assert (warm.cache_hits, warm.cache_misses, warm.warnings) == (cold.total, 0, ())
 
 
 def test_missing_cache_is_empty():
@@ -611,6 +651,35 @@ def test_find_critical_small_scales():
     assert find_critical(5, "multigraph") and len(find_critical(5, "multigraph")) == 1
     assert find_critical(4, "simple") == []
     assert find_critical(2, "simple", k=1) == []
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_find_critical_stops_at_the_first_deletion_over_k(monkeypatch, k):
+    reference = find_critical(6, "simple", k=k)
+    colorable = atlas.is_star_k_colorable
+    solve = atlas.star_chromatic_index
+    solved = []  # per graph tested, the chi_s of each deletion solved
+
+    def decide(g, palette):
+        solved.append([])
+        return colorable(g, palette)
+
+    def solve_deletion(g):
+        found = solve(g)
+        solved[-1].append(found[0])
+        return found
+
+    monkeypatch.setattr(atlas, "is_star_k_colorable", decide)
+    monkeypatch.setattr(atlas, "star_chromatic_index", solve_deletion)
+    findings = find_critical(6, "simple", k=k)
+    assert any(chis and chis[-1] > k for chis in solved)
+    for chis in solved:
+        assert all(chi <= k for chi in chis[:-1])
+    assert [(f.canon, f.deletion_chi) for f in findings] == [
+        (f.canon, f.deletion_chi) for f in reference
+    ]
+    for f in findings:
+        assert len(f.deletion_chi) == f.graph.n
 
 
 def test_critical_graphs_have_high_density():

@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -664,6 +665,42 @@ def test_empty_input_is_usage_error(run, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing here\n")
     assert run("chi", str(path))[0] == 2
+
+
+OUT_OF_CLASS = {
+    "star.txt": "5\n0 1\n0 2\n0 3\n0 4\n",  # K_{1,4}
+    "k5.g6": "D~{\n",  # K5 in graph6
+    "star.canon": "0501010001000001000000\n",  # K_{1,4} as a canonical form
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_CLASS))
+@pytest.mark.parametrize("command", ["chi", "verify", "mad", "audit", "discharge", "covers-cube"])
+def test_a_graph_outside_the_subcubic_class_is_a_usage_error(run, tmp_path, command, name):
+    path = tmp_path / name
+    path.write_text(OUT_OF_CLASS[name])
+    coloring = tmp_path / "coloring.txt"
+    coloring.write_text("0 1\n")
+    extra = (str(coloring),) if command == "verify" else ()
+    code, out, err = run(command, str(path), *extra)
+    assert code == 2
+    assert "RESULT:" not in out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: vertex 0 has degree 4")
+
+
+def test_forged_cache_line_for_a_cached_form_is_skipped(run, tmp_path):
+    cache = tmp_path / "sweep.cache"
+    cold = run("sweep", "--max-n", "6", "--cache", str(cache))
+    body = "04010100000100 4 3 1 3/2 7"  # the 4-vertex path, true chi_s 3
+    with open(cache, "a") as fh:
+        fh.write(f"{body} {zlib.crc32(body.encode()):08x}\n")
+    code, out, err = run("sweep", "--max-n", "6", "--cache", str(cache))
+    assert cold[0] == 0
+    assert (code, out) == (0, cold[1])
+    assert len(err.splitlines()) == 1
+    assert err.startswith("warning:")
+    assert run("sweep", "--max-n", "6", "--cache", str(cache)) == (0, cold[1], "")
 
 
 def test_unknown_subcommand_is_usage_error(run):

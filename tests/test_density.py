@@ -56,10 +56,10 @@ def test_mad_witness_is_optimal_subset():
 
 
 def test_mad_dense_core_found():
-    edges = list(zoo.complete(4).edges) + [(3, 4), (4, 5)]
+    edges = list(zoo.diamond().edges) + [(2, 4), (4, 5)]
     g = build(6, edges)
     density, witness = mad(g)
-    assert density == 3
+    assert density == Fraction(5, 2)
     assert sorted(witness) == [0, 1, 2, 3]
 
 

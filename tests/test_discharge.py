@@ -74,7 +74,8 @@ def test_initial_charges_sum_is_invariant():
 
 
 def test_initial_charges_reject_high_degree():
-    with pytest.raises(ValueError):
+    # build enforces the degree cap, so K5 never reaches initial_charges
+    with pytest.raises(ValueError, match="degree 4"):
         initial_charges(zoo.complete(5))
 
 

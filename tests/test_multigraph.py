@@ -59,7 +59,79 @@ def test_build_rejects_bad_vertex_count():
 def test_build_multiplicity_cap():
     with pytest.raises(ValueError):
         build(2, [(0, 1)] * 4)
-    assert not zoo.star(4).is_subcubic
+    with pytest.raises(ValueError):
+        zoo.star(4)
+
+
+def test_build_rejects_high_degree():
+    with pytest.raises(ValueError, match="vertex 0 has degree 4"):
+        zoo.complete(5)
+    with pytest.raises(ValueError, match="degree 5"):
+        build(3, [(0, 1)] * 3 + [(1, 2)] * 2)
+
+
+def _unfiltered_pairs(n):
+    # loopless in-range pairs, with vertices of any degree, and at most one
+    # loop or out-of-range pair after them
+    fine = st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1))).map(
+        lambda p: (p[0], (p[0] + p[1]) % n)
+    )
+    wrong = st.sampled_from([(0, 0), (-1, 0), (0, n)])
+    return st.tuples(st.lists(fine, max_size=14), st.lists(wrong, max_size=1)).map(
+        lambda parts: parts[0] + parts[1]
+    )
+
+
+unfiltered_graphs = st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), _unfiltered_pairs(n))
+)
+
+
+def _in_class(n, pairs):
+    degree = [0] * n
+    for u, v in pairs:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            return False
+        degree[u] += 1
+        degree[v] += 1
+    return max(degree) <= 3
+
+
+@given(unfiltered_graphs)
+def test_build_refuses_or_returns_a_subcubic_graph(case):
+    n, pairs = case
+    try:
+        g = build(n, pairs)
+    except ValueError:
+        assert not _in_class(n, pairs)
+        return
+    assert _in_class(n, pairs)
+    assert g.max_degree <= 3
+    assert g.edges == tuple((min(p), max(p)) for p in pairs)
+
+
+@given(unfiltered_graphs)
+def test_parsers_refuse_or_return_subcubic_graphs(case):
+    # each parser raises nothing but ValueError (FormatError included)
+    n, pairs = case
+    text = "\n".join([str(n)] + [f"{u} {v}" for u, v in pairs])
+    simple = nx.Graph()
+    simple.add_nodes_from(range(n))
+    simple.add_edges_from(p for p in pairs if min(p) >= 0 and max(p) < n and p[0] != p[1])
+    g6 = nx.to_graph6_bytes(simple, header=False).decode()
+    form = bytes(
+        [n] + [pairs.count((u, v)) + pairs.count((v, u)) for v in range(1, n) for u in range(v)]
+    )
+    for parse, source in (
+        (parse_edge_list, text),
+        (parse_graph6, g6),
+        (decode_canonical, form),
+    ):
+        try:
+            g = parse(source)
+        except ValueError:
+            continue
+        assert g.max_degree <= 3
 
 
 def test_endpoints_normalized_and_other_end():

@@ -74,7 +74,8 @@ def test_classify_counts_parallel_edges_to_one_neighbor():
 
 
 def test_classify_rejects_high_degree():
-    with pytest.raises(ValueError):
+    # build enforces the degree cap, so K5 never reaches classify
+    with pytest.raises(ValueError, match="degree 4"):
         classify(zoo.complete(5))
 
 
